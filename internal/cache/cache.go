@@ -6,33 +6,50 @@
 // write-latency accounting rests on (Section 3.2).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // LineBytes is the cache line size used throughout (64 B).
 const LineBytes = 64
 
 // Cache is one set-associative, LRU, write-through cache level.
+//
+// The tag store is one flat array: set s owns lines[s*ways:(s+1)*ways],
+// ordered most- to least-recently used. An entry holds tag+1, so 0 marks
+// an empty way; valid entries always form a prefix of their set, because
+// a fill enters at the front and shifts the rest back. Sets are indexed
+// with shift/mask, which is why the set count must be a power of two.
 type Cache struct {
-	ways   int
-	sets   int
-	tags   [][]uint64 // tags[set] ordered most- to least-recently used
-	hits   uint64
-	misses uint64
+	ways    int
+	sets    int
+	setBits uint   // log2(sets)
+	setMask uint64 // sets - 1
+	lines   []uint32
+	hits    uint64
+	misses  uint64
 }
 
 // New returns a cache of the given total size and associativity with
-// 64-byte lines. It panics if the geometry is inconsistent (programming
-// error).
+// 64-byte lines. It panics if the geometry is inconsistent or the set
+// count is not a power of two (programming error).
 func New(sizeBytes, ways int) *Cache {
 	if sizeBytes <= 0 || ways <= 0 || sizeBytes%(ways*LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
 	}
 	sets := sizeBytes / (ways * LineBytes)
-	c := &Cache{ways: ways, sets: sets, tags: make([][]uint64, sets)}
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, 0, ways)
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets (size=%d ways=%d) is not a power of two", sets, sizeBytes, ways))
 	}
-	return c
+	return &Cache{
+		ways:    ways,
+		sets:    sets,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
+		setMask: uint64(sets - 1),
+		lines:   make([]uint32, sets*ways),
+	}
 }
 
 // Sets returns the number of sets.
@@ -41,44 +58,73 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(addr uint64) (int, uint64) {
+// lookup returns addr's set and the entry its line would hold there.
+// Tags must fit the 32-bit entry, so addresses must lie below 2^38·sets
+// bytes (16 TiB for the Table 1 L1's 64 sets, 4096 hybrid regions); a
+// larger one panics rather than alias another line.
+func (c *Cache) lookup(addr uint64) ([]uint32, uint32) {
 	line := addr / LineBytes
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	tag := line >> c.setBits
+	if tag >= math.MaxUint32 {
+		panic("cache: address beyond the 32-bit tag range")
+	}
+	base := int(line&c.setMask) * c.ways
+	return c.lines[base : base+c.ways], uint32(tag) + 1
+}
+
+// promote moves set[i] to the front, shifting set[:i] back one way.
+func promote(set []uint32, i int) {
+	e := set[i]
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = e
+}
+
+// HitMRU reports whether addr's line is its set's most recently used
+// line, counting the hit if so; on false the cache is unchanged. It is
+// the inlinable fast path of Access, which would return true with no
+// reordering for exactly these addresses.
+func (c *Cache) HitMRU(addr uint64) bool {
+	line := addr / LineBytes
+	tag := line >> c.setBits
+	if tag >= math.MaxUint32 || c.lines[int(line&c.setMask)*c.ways] != uint32(tag)+1 {
+		return false
+	}
+	c.hits++
+	return true
 }
 
 // Access looks up addr, allocating the line (and evicting LRU) on a miss.
 // It returns true on hit.
+//
+//memlint:hotpath
 func (c *Cache) Access(addr uint64) bool {
-	si, tag := c.set(addr)
-	set := c.tags[si]
-	for i, t := range set {
-		if t == tag {
-			// Move to front (most recently used).
-			copy(set[1:i+1], set[:i])
-			set[0] = tag
+	set, key := c.lookup(addr)
+	for i, e := range set {
+		if e == key {
+			promote(set, i)
 			c.hits++
 			return true
 		}
 	}
+	// Fill at the front; the last way (the LRU line, or an empty way
+	// while the set is filling) drops off.
 	c.misses++
-	if len(set) < c.ways {
-		set = append(set, 0)
-	}
-	copy(set[1:], set)
-	set[0] = tag
-	c.tags[si] = set
+	promote(set, len(set)-1)
+	set[0] = key
 	return false
 }
 
 // Touch updates the line's recency if present but does not allocate — the
 // write-through, no-write-allocate policy for stores.
+//
+//memlint:hotpath
 func (c *Cache) Touch(addr uint64) bool {
-	si, tag := c.set(addr)
-	set := c.tags[si]
-	for i, t := range set {
-		if t == tag {
-			copy(set[1:i+1], set[:i])
-			set[0] = tag
+	set, key := c.lookup(addr)
+	for i, e := range set {
+		if e == key {
+			promote(set, i)
 			return true
 		}
 	}

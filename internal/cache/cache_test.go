@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestGeometry(t *testing.T) {
 	c := New(32<<10, 8)
@@ -16,6 +19,69 @@ func TestGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(1000, 3) // not divisible by ways*line
+}
+
+func TestGeometryNeedsPowerOfTwoSets(t *testing.T) {
+	for _, tc := range []struct {
+		size, ways int
+		ok         bool
+	}{
+		{32 << 10, 8, true},      // Table 1 L1: 64 sets
+		{2 << 20, 4, true},       // L2: 8192 sets
+		{32 << 20, 8, true},      // L3: 65536 sets
+		{2 * LineBytes, 2, true}, // 1 set
+		{3 * 2 * LineBytes, 2, false},
+		{96 << 10, 8, false}, // 192 sets
+		{12 * LineBytes, 4, false},
+		{5 * LineBytes, 1, false},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("New(%d, %d): panic %v, want ok=%v", tc.size, tc.ways, r, tc.ok)
+				}
+			}()
+			New(tc.size, tc.ways)
+		}()
+	}
+}
+
+func TestHitMRU(t *testing.T) {
+	c := New(2*LineBytes, 2) // 1 set, 2 ways
+	if c.HitMRU(0) {
+		t.Error("HitMRU hit a cold cache")
+	}
+	c.Access(0)
+	c.Access(64) // order: 64, 0
+	if c.HitMRU(0) {
+		t.Error("HitMRU hit the LRU line")
+	}
+	if !c.HitMRU(64 + 8) {
+		t.Error("HitMRU missed the MRU line")
+	}
+	// A HitMRU hit counts like an Access hit and changes no recency.
+	if c.Hits() != 1 || c.Misses() != 2 {
+		t.Errorf("hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	}
+	c.Access(128) // evicts 0, the LRU line
+	if c.Access(0) {
+		t.Error("HitMRU reordered the set")
+	}
+}
+
+func TestAddressBeyondTagRange(t *testing.T) {
+	c := New(2*LineBytes, 2)                    // 1 set: the tag is the whole line number
+	c.Access(0)                                 // tag 0, stored as 1
+	big := uint64(math.MaxUint32+1) * LineBytes // tag 2^32 would wrap onto 1
+	if c.HitMRU(big) {
+		t.Error("HitMRU aliased an out-of-range address onto a resident line")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range address accepted")
+		}
+	}()
+	c.Access(big)
 }
 
 func TestHitAfterMiss(t *testing.T) {

@@ -55,3 +55,18 @@ func TestStatsCheckFiresOnInconsistentSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsCheckNamesFirstNegativeField pins which field the negativity
+// check reports when several are negative: the first in declaration
+// order, on every call.
+func TestStatsCheckNamesFirstNegativeField(t *testing.T) {
+	st := New().Stats()
+	st.MemReadNanos = -2
+	st.WriteStallNanos = -3
+	const want = "hybrid: MemReadNanos = -2 is negative"
+	for i := 0; i < 50; i++ {
+		if err := st.Check(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
+		}
+	}
+}

@@ -16,7 +16,10 @@
 // can share one device.
 package pcm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes the device geometry and timing.
 type Config struct {
@@ -59,8 +62,14 @@ func (c Config) Validate() error {
 	if c.WriteQueueDepth < 1 || c.ReadQueueDepth < 1 {
 		return fmt.Errorf("pcm: queue depths must be positive (%d, %d)", c.WriteQueueDepth, c.ReadQueueDepth)
 	}
+	if banks := c.Ranks * c.BanksPerRank; banks&(banks-1) != 0 {
+		return fmt.Errorf("pcm: %d banks (%d×%d) is not a power of two", banks, c.Ranks, c.BanksPerRank)
+	}
 	if c.PageBytes < 64 {
 		return fmt.Errorf("pcm: PageBytes = %d too small", c.PageBytes)
+	}
+	if c.PageBytes&(c.PageBytes-1) != 0 {
+		return fmt.Errorf("pcm: PageBytes = %d is not a power of two", c.PageBytes)
 	}
 	if c.ReadNanos <= 0 {
 		return fmt.Errorf("pcm: ReadNanos must be positive, got %v", c.ReadNanos)
@@ -79,10 +88,13 @@ type write struct {
 }
 
 // bank holds the per-bank schedule: pending writes (FIFO, already laid out
-// back-to-back in time) and the completion time of the most recently
-// finished/scheduled operation.
+// back-to-back in time) in a fixed-capacity ring of WriteQueueDepth
+// entries, and the open row.
 type bank struct {
-	queue []write // scheduled, not yet known-complete stores
+	// ring[head], ring[head+1], … (mod len(ring)) are the n scheduled,
+	// not yet known-complete stores, oldest first.
+	ring    []write
+	head, n int
 	// lastPage tracks the open row for the sequential-write discount;
 	// ^0 means no row open yet.
 	lastPage uint64
@@ -110,19 +122,30 @@ type Stats struct {
 // non-decreasing CPU clock supplied by the caller. Not safe for
 // concurrent use.
 type Sim struct {
-	cfg   Config
-	banks []bank
-	stats Stats
+	cfg       Config
+	pageShift uint   // log2(PageBytes)
+	bankMask  uint64 // banks - 1
+	banks     []bank
+	stats     Stats
 }
 
 // New returns a simulator for cfg. It panics on invalid configuration
-// (programming error).
+// (programming error). Every bank's write ring is carved from one
+// backing array.
 func New(cfg Config) *Sim {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Sim{cfg: cfg, banks: make([]bank, cfg.Ranks*cfg.BanksPerRank)}
+	nb, depth := cfg.Ranks*cfg.BanksPerRank, cfg.WriteQueueDepth
+	s := &Sim{
+		cfg:       cfg,
+		pageShift: uint(bits.TrailingZeros(uint(cfg.PageBytes))),
+		bankMask:  uint64(nb - 1),
+		banks:     make([]bank, nb),
+	}
+	rings := make([]write, nb*depth)
 	for i := range s.banks {
+		s.banks[i].ring = rings[i*depth : (i+1)*depth : (i+1)*depth]
 		s.banks[i].lastPage = ^uint64(0)
 	}
 	return s
@@ -130,48 +153,61 @@ func New(cfg Config) *Sim {
 
 // Bank returns the bank index servicing addr.
 func (s *Sim) Bank(addr uint64) int {
-	return int(addr / uint64(s.cfg.PageBytes) % uint64(len(s.banks)))
+	return int(addr >> s.pageShift & s.bankMask)
+}
+
+// at returns the i-th oldest queued store.
+func (b *bank) at(i int) *write {
+	i += b.head
+	if i >= len(b.ring) {
+		i -= len(b.ring)
+	}
+	return &b.ring[i]
 }
 
 // prune drops queue entries that completed at or before now.
 func (b *bank) prune(now float64) {
-	i := 0
-	for i < len(b.queue) && b.queue[i].start+b.queue[i].dur <= now {
-		i++
-	}
-	if i > 0 {
-		b.queue = b.queue[:copy(b.queue, b.queue[i:])]
+	for b.n > 0 && b.ring[b.head].start+b.ring[b.head].dur <= now {
+		b.head++
+		if b.head == len(b.ring) {
+			b.head = 0
+		}
+		b.n--
 	}
 }
 
 // Write posts a store of the given service duration at CPU time now and
 // returns the time at which the CPU may continue (== now unless the write
 // queue was full).
+//
+//memlint:hotpath
 func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
-	b := &s.banks[s.Bank(addr)]
+	page := addr >> s.pageShift
+	b := &s.banks[page&s.bankMask]
 	b.prune(now)
-	page := addr / uint64(s.cfg.PageBytes)
 	if f := s.cfg.SeqWriteFactor; f > 0 && f < 1 && page == b.lastPage {
 		durNanos *= f
 		s.stats.SeqWriteHits++
 	}
 	b.lastPage = page
-	if len(b.queue) >= s.cfg.WriteQueueDepth {
+	if b.n == len(b.ring) {
 		// Stall until the oldest queued store drains.
 		s.stats.WriteQueueFullEvents++
-		oldest := b.queue[0]
+		oldest := b.ring[b.head]
 		release := oldest.start + oldest.dur
 		s.stats.WriteStallNanos += release - now
 		now = release
 		b.prune(now)
 	}
 	start := now
-	if n := len(b.queue); n > 0 {
-		if tail := b.queue[n-1].start + b.queue[n-1].dur; tail > start {
+	if b.n > 0 {
+		last := b.at(b.n - 1)
+		if tail := last.start + last.dur; tail > start {
 			start = tail
 		}
 	}
-	b.queue = append(b.queue, write{start: start, dur: durNanos})
+	*b.at(b.n) = write{start: start, dur: durNanos}
+	b.n++
 	s.stats.Writes++
 	return now
 }
@@ -180,27 +216,30 @@ func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
 // time. Read priority: the load waits only for the store currently in
 // service (if any), then executes; every store scheduled after it is
 // pushed back by the read's service time.
+//
+//memlint:hotpath
 func (s *Sim) Read(addr uint64, now float64) float64 {
-	b := &s.banks[s.Bank(addr)]
+	page := addr >> s.pageShift
+	b := &s.banks[page&s.bankMask]
 	b.prune(now)
 	// Reads open the row too, closing any sequential write streak.
-	b.lastPage = addr / uint64(s.cfg.PageBytes)
+	b.lastPage = page
 	start := now
 	pending := 0 // index of the first store that has not begun service
-	if len(b.queue) > 0 && b.queue[0].start < now {
+	if b.n > 0 && b.ring[b.head].start < now {
 		// A store is mid-service; it cannot be preempted.
 		s.stats.ReadsDelayedByWrite++
-		start = b.queue[0].start + b.queue[0].dur
+		start = b.ring[b.head].start + b.ring[b.head].dur
 		pending = 1
 	}
 	done := start + s.cfg.ReadNanos
 	// The read jumps ahead of every not-yet-started store: push them
 	// back (uniformly, preserving their back-to-back layout) so the
 	// first resumes when the read finishes.
-	if pending < len(b.queue) && b.queue[pending].start < done {
-		shift := done - b.queue[pending].start
-		for j := pending; j < len(b.queue); j++ {
-			b.queue[j].start += shift
+	if pending < b.n && b.at(pending).start < done {
+		shift := done - b.at(pending).start
+		for j := pending; j < b.n; j++ {
+			b.at(j).start += shift
 		}
 	}
 	s.stats.Reads++
@@ -216,5 +255,5 @@ func (s *Sim) Stats() Stats { return s.stats }
 func (s *Sim) QueueDepth(addr uint64, now float64) int {
 	b := &s.banks[s.Bank(addr)]
 	b.prune(now)
-	return len(b.queue)
+	return b.n
 }

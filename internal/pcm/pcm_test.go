@@ -22,6 +22,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestConfigNeedsPowerOfTwoGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		ranks, banksPerRank, pageBytes int
+		ok                             bool
+	}{
+		{4, 8, 4096, true},
+		{1, 1, 64, true},
+		{2, 16, 1 << 16, true},
+		{3, 8, 4096, false}, // 24 banks
+		{4, 6, 4096, false},
+		{5, 1, 4096, false},
+		{4, 8, 3000, false},
+		{4, 8, 4096 + 64, false},
+		{4, 8, 96, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Ranks, cfg.BanksPerRank, cfg.PageBytes = tc.ranks, tc.banksPerRank, tc.pageBytes
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d×%d banks, %d B pages: Validate = %v, want ok=%v",
+				tc.ranks, tc.banksPerRank, tc.pageBytes, err, tc.ok)
+		}
+	}
+}
+
 func TestBankInterleaving(t *testing.T) {
 	s := New(DefaultConfig())
 	if s.Bank(0) == s.Bank(4096) {

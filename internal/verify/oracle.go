@@ -2,7 +2,7 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ReferenceSort returns the plain precise sort of input — the differential
@@ -12,7 +12,7 @@ import (
 func ReferenceSort(input []uint32) []uint32 {
 	out := make([]uint32, len(input))
 	copy(out, input)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
