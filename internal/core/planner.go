@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"approxsort/internal/mlc"
 	"approxsort/internal/sorts"
@@ -128,47 +129,80 @@ func (pl Planner) Plan(keys []uint32) (Plan, error) {
 	}, nil
 }
 
-// PlanAuto runs the Plan pilot for every candidate algorithm and returns
-// the plan of the one with the lowest predicted write cost on this
-// backend: min(HybridWrites, BaselineWrites) at the measured p and the
-// extrapolated remainder (the two arms of the Section 4.3 switch; Eq. 4's
-// WR is exactly 1 − Hybrid/Baseline, so the chosen plan's UseHybrid mode
-// already names the cheaper arm). Backend-awareness needs no extra
-// plumbing: fixed-latency backends measure p = 1, which zeroes the hybrid
-// advantage and reduces the contest to the smallest baseline 2·α(n), while
-// write-asymmetric backends weight each candidate's α by its measured
-// latency ratio. Ties break to the earlier candidate, so a sorted-name
-// roster (sorts.AutoCandidates) makes the choice deterministic.
+// PlanAuto returns the plan of the candidate algorithm with the lowest
+// predicted write cost on this backend: min(HybridWrites, BaselineWrites)
+// at the pilot's measured p and extrapolated remainder (the two arms of
+// the Section 4.3 switch; Eq. 4's WR is exactly 1 − Hybrid/Baseline, so
+// the chosen plan's UseHybrid mode already names the cheaper arm).
+// Backend-awareness needs no extra plumbing: fixed-latency backends
+// measure p = 1, which zeroes the hybrid advantage and reduces the
+// contest to the smallest baseline 2·α(n), while write-asymmetric
+// backends weight each candidate's α by its measured latency ratio. Ties
+// break to the earlier candidate, so a sorted-name roster
+// (sorts.AutoCandidates) makes the choice deterministic.
+//
+// The choice is that of running the pilot for every candidate, but a
+// candidate whose cost provably cannot win is not piloted: candidates are
+// evaluated in ascending order of autoCostBound, and one is skipped when
+// its bound already exceeds the best cost found, or equals it and the
+// candidate comes later in the roster. A skipped candidate's pilot errors
+// therefore go unreported.
 func (pl Planner) PlanAuto(keys []uint32, candidates []sorts.Candidate) (Plan, error) {
 	if len(candidates) == 0 {
 		return Plan{}, errors.New("core: PlanAuto needs at least one candidate algorithm")
 	}
 	n := len(keys)
-	var best Plan
-	bestCost := math.Inf(1)
-	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.Plan(keys)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
-		}
+	alphas := make([]AlphaFunc, len(candidates))
+	bounds := make([]float64, len(candidates))
+	order := make([]int, len(candidates))
+	for i, c := range candidates {
 		alpha, err := AlphaFor(c.Alg)
 		if err != nil {
 			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
 		}
-		model := CostModel{P: plan.P, Alpha: alpha}
+		alphas[i], bounds[i], order[i] = alpha, autoCostBound(alpha, n), i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
+
+	// best is the lexicographic minimum of (cost, roster index) so far;
+	// index −1 with cost +Inf means none, and a cost of +Inf never wins,
+	// exactly as in a roster-order first-strict-minimum scan.
+	var best Plan
+	bestCost, bestIdx := math.Inf(1), -1
+	for _, i := range order {
+		if bounds[i] > bestCost || bounds[i] == bestCost && i > bestIdx { //nolint:floatord // a bound and a cost from the same CostModel expressions; ties are exact
+			continue
+		}
+		cpl := pl
+		cpl.Config.Algorithm = candidates[i].Alg
+		plan, err := cpl.Plan(keys)
+		if err != nil {
+			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", candidates[i].Name, err)
+		}
+		model := CostModel{P: plan.P, Alpha: alphas[i]}
 		cost := model.BaselineWrites(n)
 		if plan.UseHybrid {
 			cost = model.HybridWrites(n, plan.PredictedRem)
 		}
-		if cost < bestCost {
-			bestCost = cost
-			plan.Algorithm = c.Name
+		if cost < bestCost || cost == bestCost && i < bestIdx { //nolint:floatord // exact tie-break: equal costs go to the earlier roster entry
+			bestCost, bestIdx = cost, i
+			plan.Algorithm = candidates[i].Name
 			best = plan
 		}
 	}
 	return best, nil
+}
+
+// autoCostBound is a lower bound on the cost PlanAuto computes for a
+// candidate with write model alpha at size n, whatever its pilot
+// measures: min(BaselineWrites(n), HybridWrites(n, 0) at p = 0). It holds
+// exactly in floating point. The baseline arm does not depend on the
+// pilot. Every term of the hybrid arm is at least the matching term at
+// p = 0 and Rem~ = 0, because p ≥ 0, Rem~ ≥ 0, α ≥ 0 and α(0) = 0 for
+// every registered profile; the terms are summed in the same order, and
+// rounding is monotone.
+func autoCostBound(alpha AlphaFunc, n int) float64 {
+	return math.Min(CostModel{Alpha: alpha}.BaselineWrites(n), CostModel{Alpha: alpha}.HybridWrites(n, 0))
 }
 
 // pilotSample draws an m-element even-spread sample: element i comes from

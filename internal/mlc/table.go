@@ -42,15 +42,15 @@ type Table struct {
 	// construction. The RNG's Float64() is float64(Uint64()>>11)·2⁻⁵³
 	// exactly, so with k = Uint64()>>11 the float comparison u < cum[i]
 	// is equivalent to the integer comparison k < ceil(cum[i]·2⁵³) —
-	// bit-for-bit, while consuming the identical stream. resThr holds
-	// Levels consecutive blocks of Levels thresholds; itersThr holds
-	// Levels blocks of MaxIters thresholds. The prefix tables map
-	// (level, top 8 bits of k) to the first index the scan can possibly
-	// select, so front-loaded distributions resolve in one compare.
-	resThr   []uint64
-	itersThr []uint64
-	resPfx   []uint16 // Levels blocks of 256 entries
-	itersPfx []uint16 // Levels blocks of 256 entries
+	// bit-for-bit, while consuming the identical stream. resThr[l]
+	// holds Levels thresholds and itersThr[l] MaxIters thresholds for
+	// target level l. The prefix tables map (level, top 8 bits of k) to
+	// the selected index, or to the first index a threshold scan can
+	// select when the bucket straddles a threshold (see drawPrefix).
+	resThr   [][]uint64
+	itersThr [][]uint64
+	resPfx   [][256]uint16
+	itersPfx [][256]uint16
 
 	// bitsPerCell and levelMask cache the per-cell shift/mask state so
 	// WriteWord does not re-derive it per word.
@@ -112,17 +112,15 @@ func NewTable(p Params, samples int, seed uint64) *Table {
 func (t *Table) buildDense() {
 	t.bitsPerCell = uint(t.p.BitsPerCell())
 	t.levelMask = uint32(t.p.Levels - 1)
-	t.resThr = make([]uint64, 0, t.p.Levels*t.p.Levels)
-	t.itersThr = make([]uint64, 0, t.p.Levels*t.p.MaxIters)
-	t.resPfx = make([]uint16, 0, t.p.Levels*256)
-	t.itersPfx = make([]uint16, 0, t.p.Levels*256)
-	for level := 0; level < t.p.Levels; level++ {
-		rt := fixedThresholds(t.resCum[level])
-		it := fixedThresholds(t.itersCum[level])
-		t.resThr = append(t.resThr, rt...)
-		t.itersThr = append(t.itersThr, it...)
-		t.resPfx = append(t.resPfx, drawPrefix(rt)...)
-		t.itersPfx = append(t.itersPfx, drawPrefix(it)...)
+	t.resThr = make([][]uint64, t.p.Levels)
+	t.itersThr = make([][]uint64, t.p.Levels)
+	t.resPfx = make([][256]uint16, t.p.Levels)
+	t.itersPfx = make([][256]uint16, t.p.Levels)
+	for level := range t.p.Levels {
+		t.resThr[level] = fixedThresholds(t.resCum[level])
+		t.itersThr[level] = fixedThresholds(t.itersCum[level])
+		t.resPfx[level] = drawPrefix(t.resThr[level])
+		t.itersPfx[level] = drawPrefix(t.itersThr[level])
 	}
 }
 
@@ -154,8 +152,8 @@ const scanPfx = 1 << 15
 // otherwise it holds scanPfx | firstCandidate. Distributions here are
 // short and front-loaded, so almost all buckets are pure and the
 // sampler's common path is one 16-bit load per draw.
-func drawPrefix(thr []uint64) []uint16 {
-	pfx := make([]uint16, 256)
+func drawPrefix(thr []uint64) [256]uint16 {
+	var pfx [256]uint16
 	i := 0
 	for b := 0; b < 256; b++ {
 		lo := uint64(b) << 45
@@ -201,45 +199,15 @@ func sampleCum(r *rng.Source, cum []float64) int {
 // distributions for each of the word's cells. It runs on the dense
 // fixed-point sampler: two Uint64 draws per cell (read-back level, then
 // pulse count — the same stream order and count as inverse-CDF sampling
-// of resCum/itersCum), each resolved by a prefix lookup plus a short
-// threshold scan. TestTableDenseMatchesFloat pins bit-equivalence
-// against the float path.
+// of resCum/itersCum), each resolved by a prefix lookup and, in a
+// straddling bucket, a short threshold scan. TestTableDenseMatchesFloat
+// pins bit-equivalence against the float path.
 //
 //memlint:hotpath
 func (t *Table) WriteWord(r *rng.Source, w uint32) (uint32, int) {
-	// The RNG state lives in locals for the word's 2·cells draws (the
-	// inlined Uint64 otherwise reloads and spills all four state words
-	// through the pointer on every draw), and is stored back once.
-	local := *r
-	var stored uint32
-	total := 0
-	levels := t.p.Levels
-	maxIters := t.p.MaxIters
-	resThr, itersThr := t.resThr, t.itersThr
-	resPfx, itersPfx := t.resPfx, t.itersPfx
-	bits, mask := t.bitsPerCell, t.levelMask
-	for shift := uint(0); shift < 32; shift += bits {
-		level := int(w >> shift & mask)
-		k := local.Uint64() >> 11
-		i := int(resPfx[level<<8|int(k>>45)])
-		if i >= scanPfx {
-			i &= scanPfx - 1
-			for base := level * levels; k >= resThr[base+i]; {
-				i++
-			}
-		}
-		k = local.Uint64() >> 11
-		j := int(itersPfx[level<<8|int(k>>45)])
-		if j >= scanPfx {
-			j &= scanPfx - 1
-			for base := level * maxIters; k >= itersThr[base+j]; {
-				j++
-			}
-		}
-		stored |= uint32(i) << shift
-		total += j + 1
-	}
-	*r = local
+	s0, s1, s2, s3 := r.State()
+	stored, total, s0, s1, s2, s3 := t.writeWord(w, s0, s1, s2, s3)
+	r.SetState(s0, s1, s2, s3)
 	return stored, total
 }
 
@@ -247,20 +215,71 @@ func (t *Table) WriteWord(r *rng.Source, w uint32) (uint32, int) {
 // read-back values in dst[i] and returning the total pulse count across
 // the batch. It consumes the RNG stream exactly as len(src) sequential
 // WriteWord calls would — bulk callers (mem.SetSlice) stay bit-identical
-// to per-word loops — while amortizing the per-call state loads.
+// to per-word loops — and loads and stores the RNG state once per batch.
 //
 //memlint:hotpath
 func (t *Table) WriteWords(r *rng.Source, dst, src []uint32) int {
 	if len(dst) < len(src) {
 		panic("mlc: WriteWords dst shorter than src")
 	}
+	dst = dst[:len(src)]
+	s0, s1, s2, s3 := r.State()
 	total := 0
 	for i, w := range src {
-		stored, iters := t.WriteWord(r, w)
-		dst[i] = stored
+		var iters int
+		dst[i], iters, s0, s1, s2, s3 = t.writeWord(w, s0, s1, s2, s3)
 		total += iters
 	}
+	r.SetState(s0, s1, s2, s3)
 	return total
+}
+
+// writeWord samples one word on an RNG state the caller holds: it takes
+// the four xoshiro256** words and returns them advanced by the word's
+// 2·cells draws, so they stay in registers across the cell loop (and,
+// through WriteWords, across a batch) instead of being loaded from and
+// stored to memory on every draw.
+//
+//memlint:hotpath
+func (t *Table) writeWord(w uint32, s0, s1, s2, s3 uint64) (uint32, int, uint64, uint64, uint64, uint64) {
+	resPfx, itersPfx := t.resPfx, t.itersPfx
+	bits, mask := t.bitsPerCell, t.levelMask
+	var stored uint32
+	var k uint64
+	total := 0
+	for shift := uint(0); shift < 32; shift += bits {
+		level := w >> shift & mask
+		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+		k >>= 11
+		i := uint(resPfx[level][uint8(k>>45)])
+		if i >= scanPfx {
+			i = scanThresholds(t.resThr[level], i, k)
+		}
+		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+		k >>= 11
+		j := uint(itersPfx[level][uint8(k>>45)])
+		if j >= scanPfx {
+			j = scanThresholds(t.itersThr[level], j, k)
+		}
+		stored |= uint32(i) << shift
+		total += int(j) + 1
+	}
+	return stored, total, s0, s1, s2, s3
+}
+
+// scanThresholds resolves a draw k whose prefix entry pfx is flagged
+// scanPfx: starting at the encoded first candidate, it returns the first
+// index whose threshold lies above k. Only draws in a straddling bucket
+// get here (a handful of the 2·256 buckets per level at the paper's
+// operating points). It is small enough to inline into the cold branch;
+// an out-of-line call would clobber every register the cell loop keeps
+// live, and the compiler would then spill them on the hot path.
+func scanThresholds(thr []uint64, pfx uint, k uint64) uint {
+	i := pfx &^ scanPfx
+	for k >= thr[i] {
+		i++
+	}
+	return i
 }
 
 // CellsPerWord implements WordModel.

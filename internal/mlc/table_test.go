@@ -177,3 +177,20 @@ func BenchmarkTableWriteWord(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkTableWriteWords measures the batch path mem.SetSlice takes:
+// one WriteWords call per 1024-word batch, reported per word.
+func BenchmarkTableWriteWords(b *testing.B) {
+	tab := CachedTable(Approximate(0.055), 0, CalibrationSeed)
+	r := rng.New(1)
+	src := make([]uint32, 1024)
+	for i := range src {
+		src[i] = uint32(i) * 2654435761
+	}
+	dst := make([]uint32, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tab.WriteWords(r, dst, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/word")
+}

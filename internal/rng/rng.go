@@ -117,6 +117,9 @@ func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Source) Uint64() uint64 {
+	// The body repeats Step rather than calling it: a call to Step
+	// would push Uint64 over the inlining budget, and Uint64 is inlined
+	// into every Monte-Carlo loop. TestStepMatchesUint64 pins the two.
 	result := rotl(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
@@ -127,6 +130,32 @@ func (r *Source) Uint64() uint64 {
 	r.s3 = rotl(r.s3, 45)
 	return result
 }
+
+// Step is one xoshiro256** step on a state held by the caller: it returns
+// the value Uint64 would return from state (s0, s1, s2, s3) and the state
+// Uint64 would leave behind. Inner loops that draw many values in a row
+// load the state once with State, thread it through Step, and store it
+// back once with SetState. Go keeps the four words in registers that
+// way; a local copy of the whole Source is a six-field struct, which the
+// compiler keeps on the stack, so every draw would load and store it.
+func Step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
+// State returns the four xoshiro256** state words, for use with Step.
+func (r *Source) State() (s0, s1, s2, s3 uint64) { return r.s0, r.s1, r.s2, r.s3 }
+
+// SetState replaces the four state words, normally with ones obtained
+// from State and advanced by Step. The pending Norm spare, if any, is
+// left as it is, exactly as Uint64 leaves it.
+func (r *Source) SetState(s0, s1, s2, s3 uint64) { r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3 }
 
 // Uint32 returns a uniformly distributed 32-bit value.
 func (r *Source) Uint32() uint32 { return uint32(r.Uint64() >> 32) }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,34 @@ func TestReseedResets(t *testing.T) {
 		if got := r.Uint64(); got != first[i] {
 			t.Fatalf("after Reseed, draw %d = %d, want %d", i, got, first[i])
 		}
+	}
+}
+
+// TestStepMatchesUint64 pins the register-resident stepping API to the
+// Source methods: Step threaded from State reproduces Uint64 draw for
+// draw, and SetState leaves the Source deep-equal to one advanced by
+// Uint64, pending Norm spare included.
+func TestStepMatchesUint64(t *testing.T) {
+	ref := New(0x5eed)
+	ref.Norm() // leave a spare pending; stepping must not touch it
+	r := *ref
+	s0, s1, s2, s3 := r.State()
+	for i := 0; i < 100000; i++ {
+		var got uint64
+		got, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+		if want := ref.Uint64(); got != want {
+			t.Fatalf("draw %d: Step %#x != Uint64 %#x", i, got, want)
+		}
+	}
+	r.SetState(s0, s1, s2, s3)
+	if !reflect.DeepEqual(&r, ref) {
+		t.Fatalf("SetState: %+v, want %+v", r, *ref)
+	}
+	if !r.hasSpare {
+		t.Fatal("SetState dropped the pending Norm spare")
+	}
+	if got, want := r.Norm(), ref.Norm(); got != want {
+		t.Fatalf("Norm after SetState: %v, want %v", got, want)
 	}
 }
 
@@ -196,6 +225,23 @@ func BenchmarkUint64(b *testing.B) {
 		sink += r.Uint64()
 	}
 	_ = sink
+}
+
+// stepSink keeps BenchmarkStep32's draws observable to the compiler.
+var stepSink uint64
+
+// BenchmarkStep32 measures 32 register-resident Step draws, one MLC word
+// write's worth at four levels per cell: the RNG floor under the sampler.
+func BenchmarkStep32(b *testing.B) {
+	s0, s1, s2, s3 := New(1).State()
+	var out, sum uint64
+	for i := 0; i < b.N; i++ {
+		for range 32 {
+			out, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+			sum += out
+		}
+	}
+	stepSink = sum
 }
 
 func BenchmarkNorm(b *testing.B) {
