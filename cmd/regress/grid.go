@@ -33,6 +33,10 @@ const (
 	spinN      = 800
 	sortdN     = 1500
 	sortdPilot = 200
+	// Streaming and sharded rows: several runs per shard and an (M, B, ω)
+	// plan that fans out over both shard nodes.
+	sortdExtN    = 40000
+	sortdRunSize = 4096
 )
 
 // goldenFile is the committed results/golden/regress.json layout.
@@ -275,72 +279,168 @@ func collectMemristive(seed uint64, workers int) ([]verify.Metric, error) {
 // sortdJobs is the pinned service-level grid: one job per execution mode
 // plus an auto-routed generated dataset, all served through the real HTTP
 // stack so admission, planner routing, execution, verification and the
-// job store are all under the gate.
-func sortdJobs(seed uint64) []struct{ name, body string } {
-	return []struct{ name, body string }{
-		{"auto-reverse-inline", fmt.Sprintf(
+// job store are all under the gate. An empty route is POST /v1/sort.
+func sortdJobs(seed uint64) []struct{ name, route, body string } {
+	return []struct{ name, route, body string }{
+		{"auto-reverse-inline", "", fmt.Sprintf(
 			`{"keys":%s,"algorithm":"msd","mode":"auto","t":0.055,"seed":%d}`,
 			reverseKeysJSON(256), seed)},
-		{"auto-uniform-dataset", fmt.Sprintf(
+		{"auto-uniform-dataset", "", fmt.Sprintf(
 			`{"dataset":{"kind":"uniform","n":%d,"seed":%d},"algorithm":"quicksort","mode":"auto","t":0.03,"seed":%d}`,
 			sortdN, seed, seed)},
-		{"hybrid-zipf", fmt.Sprintf(
+		{"hybrid-zipf", "", fmt.Sprintf(
 			`{"dataset":{"kind":"zipf","n":%d,"seed":%d,"k":512,"s":1.2},"algorithm":"msd","mode":"hybrid","t":0.1,"seed":%d}`,
 			sortdN, seed, seed)},
-		{"precise-sorted", fmt.Sprintf(
+		{"precise-sorted", "", fmt.Sprintf(
 			`{"dataset":{"kind":"sorted","n":%d},"algorithm":"mergesort","mode":"precise","seed":%d}`,
 			sortdN, seed)},
-		{"hybrid-onesweep", fmt.Sprintf(
+		{"hybrid-onesweep", "", fmt.Sprintf(
 			`{"dataset":{"kind":"zipf","n":%d,"seed":%d,"k":512,"s":1.2},"algorithm":"onesweep-lsd","mode":"hybrid","t":0.1,"seed":%d}`,
 			sortdN, seed, seed)},
-		{"memristive-hybrid-msd", fmt.Sprintf(
+		{"memristive-hybrid-msd", "", fmt.Sprintf(
 			`{"dataset":{"kind":"uniform","n":%d,"seed":%d},"algorithm":"msd","mode":"hybrid","backend":"memristive","seed":%d}`,
 			sortdN, seed, seed)},
-		{"memristive-auto", fmt.Sprintf(
+		{"memristive-auto", "", fmt.Sprintf(
 			`{"dataset":{"kind":"uniform","n":%d,"seed":%d},"algorithm":"msd","mode":"auto","backend":"memristive","seed":%d}`,
 			sortdN, seed, seed)},
+		{"auto-algorithm-fewdistinct", "", fmt.Sprintf(
+			`{"dataset":{"kind":"fewdistinct","n":%d,"seed":%d},"algorithm":"auto","mode":"auto","t":0.055,"seed":%d}`,
+			sortdN, seed, seed)},
+		{"auto-stream-dataset", "/stream", fmt.Sprintf(
+			`{"dataset":{"kind":"uniform","n":%d,"seed":%d},"run_size":%d,"mode":"auto","t":0.055,"seed":%d}`,
+			sortdExtN, seed, sortdRunSize, seed)},
+		{"auto-sharded-dataset", "/sharded", fmt.Sprintf(
+			`{"dataset":{"kind":"uniform","n":%d,"seed":%d},"run_size":%d,"mode":"auto","t":0.055,"seed":%d}`,
+			sortdExtN, seed, sortdRunSize, seed)},
 	}
 }
 
-// collectSortd boots an in-process sortd, runs the job grid synchronously
-// and flattens each job result.
+// collectSortd boots an in-process sortd coordinating two in-process
+// shard nodes, runs the job grid synchronously and flattens each job
+// result.
 func collectSortd(seed uint64) ([]verify.Metric, error) {
-	srv := server.New(server.Config{Workers: 1, PilotSize: sortdPilot})
+	dir, err := os.MkdirTemp("", "regress-sortd-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	var shards []string
+	for i := 0; i < 2; i++ {
+		shard := server.New(server.Config{Workers: 1, StreamDir: dir})
+		sts := httptest.NewServer(shard.Handler())
+		defer sts.Close()
+		defer shard.Shutdown(context.Background())
+		shards = append(shards, sts.URL)
+	}
+	srv := server.New(server.Config{Workers: 1, PilotSize: sortdPilot, StreamDir: dir, ShardNodes: shards})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
 	var ms []verify.Metric
 	for _, j := range sortdJobs(seed) {
-		job, err := post(ts, j.body)
+		job, err := post(ts, j.route, j.body)
 		if err != nil {
 			return nil, fmt.Errorf("sortd job %s: %w", j.name, err)
 		}
 		if job.Status != server.StatusDone || job.Result == nil {
 			return nil, fmt.Errorf("sortd job %s: status %q, error %q", j.name, job.Status, job.Error)
 		}
-		r := job.Result
 		p := "sortd/" + j.name
-		mode := 0.0
-		if r.Mode == server.ModeHybrid {
-			mode = 1
+		switch j.route {
+		case "/stream":
+			ms = append(ms, streamMetrics(p, job.Result)...)
+		case "/sharded":
+			m, err := shardedMetrics(p, job.Result)
+			if err != nil {
+				return nil, fmt.Errorf("sortd job %s: %w", j.name, err)
+			}
+			ms = append(ms, m...)
+		default:
+			ms = append(ms, sortMetrics(p, job.Result)...)
 		}
+	}
+	return ms, nil
+}
+
+// sortMetrics flattens an in-memory job result.
+func sortMetrics(p string, r *server.JobResult) []verify.Metric {
+	return []verify.Metric{
+		verify.Exact(p+"/mode_hybrid", modeHybrid(r)),
+		verify.Exact(p+"/n", float64(r.N)),
+		verify.Exact(p+"/rem", float64(r.Rem)),
+		verify.Exact(p+"/writes_approx", float64(r.Writes.Approx)),
+		verify.Exact(p+"/writes_precise", float64(r.Writes.Precise)),
+		verify.Exact(p+"/writes_baseline", float64(r.Writes.Baseline)),
+		verify.Rel(p+"/predicted_wr", r.PredictedWR, relEps),
+		verify.Rel(p+"/actual_wr", r.ActualWR, relEps),
+		verify.Rel(p+"/write_nanos", r.WriteNanos, relEps),
+		verify.Rel(p+"/pcm_nanos", r.PCMNanos, relEps),
+		verify.Exact(p+"/sorted", b2f(r.Sorted)),
+		verify.Exact(p+"/verified", b2f(r.Verified)),
+	}
+}
+
+// streamMetrics flattens a streaming job result: the external geometry
+// the planner chose and the ledger it produced.
+func streamMetrics(p string, r *server.JobResult) []verify.Metric {
+	e := r.Extsort
+	return []verify.Metric{
+		verify.Exact(p+"/mode_hybrid", modeHybrid(r)),
+		verify.Exact(p+"/n", float64(r.N)),
+		verify.Exact(p+"/rem", float64(r.Rem)),
+		verify.Exact(p+"/writes_precise", float64(r.Writes.Precise)),
+		verify.Rel(p+"/write_nanos", r.WriteNanos, relEps),
+		verify.Exact(p+"/records", float64(e.Records)),
+		verify.Exact(p+"/runs", float64(e.Runs)),
+		verify.Exact(p+"/merge_passes", float64(e.MergePasses)),
+		verify.Exact(p+"/run_size", float64(e.RunSize)),
+		verify.Exact(p+"/fan_in", float64(e.FanIn)),
+		verify.Exact(p+"/refine_at_merge", b2f(e.RefineAtMerge)),
+		verify.Exact(p+"/disk_bytes_written", float64(e.DiskBytesWritten)),
+		verify.Rel(p+"/formation_write_nanos", e.FormationWriteNanos, relEps),
+		verify.Rel(p+"/merge_write_nanos", e.MergeWriteNanos, relEps),
+		verify.Rel(p+"/plan_total_writes", e.Plan.TotalWrites, relEps),
+		verify.Exact(p+"/sorted", b2f(r.Sorted)),
+		verify.Exact(p+"/verified", b2f(r.Verified)),
+	}
+}
+
+// shardedMetrics flattens a sharded job result. Only fields that do not
+// depend on which port hosts which shard are gated: node URLs and job IDs
+// are not, shard indices (range order) are.
+func shardedMetrics(p string, r *server.JobResult) ([]verify.Metric, error) {
+	c := r.Cluster
+	if c == nil || c.Plan == nil || c.Plan.Sharded == nil || c.Plan.Sharded.PerShard == nil {
+		return nil, fmt.Errorf("sharded result carries no plan")
+	}
+	sp := c.Plan.Sharded
+	ms := []verify.Metric{
+		verify.Exact(p+"/mode_hybrid", modeHybrid(r)),
+		verify.Exact(p+"/records", float64(c.Records)),
+		verify.Exact(p+"/merge_writes", float64(c.MergeWrites)),
+		verify.Rel(p+"/write_nanos", r.WriteNanos, relEps),
+		verify.Exact(p+"/plan_rem", float64(c.Plan.PredictedRem)),
+		verify.Exact(p+"/plan_shards", float64(sp.Shards)),
+		verify.Exact(p+"/plan_run_size", float64(sp.PerShard.RunSize)),
+		verify.Exact(p+"/plan_hybrid", b2f(sp.PerShard.UseHybrid)),
+		verify.Exact(p+"/plan_refine_at_merge", b2f(sp.PerShard.RefineAtMerge)),
+		verify.Exact(p+"/verified", b2f(r.Verified)),
+	}
+	for i, sh := range c.Shards {
+		q := fmt.Sprintf("%s/shard%d", p, i)
 		ms = append(ms,
-			verify.Exact(p+"/mode_hybrid", mode),
-			verify.Exact(p+"/n", float64(r.N)),
-			verify.Exact(p+"/rem", float64(r.Rem)),
-			verify.Exact(p+"/writes_approx", float64(r.Writes.Approx)),
-			verify.Exact(p+"/writes_precise", float64(r.Writes.Precise)),
-			verify.Exact(p+"/writes_baseline", float64(r.Writes.Baseline)),
-			verify.Rel(p+"/predicted_wr", r.PredictedWR, relEps),
-			verify.Rel(p+"/actual_wr", r.ActualWR, relEps),
-			verify.Rel(p+"/write_nanos", r.WriteNanos, relEps),
-			verify.Rel(p+"/pcm_nanos", r.PCMNanos, relEps),
-			verify.Exact(p+"/sorted", b2f(r.Sorted)),
-			verify.Exact(p+"/verified", b2f(r.Verified)),
+			verify.Exact(q+"/records", float64(sh.Records)),
+			verify.Exact(q+"/runs", float64(sh.Runs)),
+			verify.Exact(q+"/merge_passes", float64(sh.MergePasses)),
+			verify.Rel(q+"/write_nanos", sh.WriteNanos, relEps),
 		)
 	}
 	return ms, nil
+}
+
+func modeHybrid(r *server.JobResult) float64 {
+	return b2f(r.Mode == server.ModeHybrid)
 }
 
 // reverseKeysJSON renders [n, n-1, ..., 1] as a JSON array.

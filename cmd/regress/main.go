@@ -106,9 +106,10 @@ func stableJSON(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// post issues one synchronous sortd job and returns the terminal job record.
-func post(ts *httptest.Server, body string) (*serverJob, error) {
-	resp, err := http.Post(ts.URL+"/v1/sort?wait=1", "application/json", bytes.NewBufferString(body))
+// post issues one synchronous sortd job on POST /v1/sort+route and
+// returns the terminal job record.
+func post(ts *httptest.Server, route, body string) (*serverJob, error) {
+	resp, err := http.Post(ts.URL+"/v1/sort"+route+"?wait=1", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func post(ts *httptest.Server, body string) (*serverJob, error) {
 			Error string `json:"error"`
 		}
 		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("POST /v1/sort: HTTP %d: %s", resp.StatusCode, e.Error)
+		return nil, fmt.Errorf("POST /v1/sort%s: HTTP %d: %s", route, resp.StatusCode, e.Error)
 	}
 	var job serverJob
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
