@@ -19,6 +19,7 @@ import (
 	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
 	"approxsort/internal/server"
+	"approxsort/internal/sorts"
 	"approxsort/internal/verify"
 )
 
@@ -346,7 +347,8 @@ func TestCoordinatorConfigAndJobValidation(t *testing.T) {
 func TestCoordinatorAlgorithmNames(t *testing.T) {
 	nodes := startShards(t, 1)
 	keys := dataset.Uniform(3000, 7)
-	for _, alg := range []string{"lsd", "quicksort", "mergesort"} {
+	for _, in := range sorts.Infos() {
+		alg := in.Name
 		co, err := cluster.New(cluster.Config{
 			Nodes:   nodes,
 			Job:     cluster.JobParams{Algorithm: alg, Mode: "auto", T: 0.07, Seed: 5},

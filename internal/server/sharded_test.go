@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -487,5 +488,47 @@ func TestSortRequestAlgorithmNames(t *testing.T) {
 	}
 	if _, err := (&SortRequest{Algorithm: "bogosort"}).algorithm(); err == nil {
 		t.Error("unknown algorithm resolved")
+	}
+}
+
+// TestSortShardedForwardsBackendParams pins that every shard job runs at
+// the operating point the sharded job reports, in both input forms: a
+// spintronic job at saving 0.5 must not fan out to shards at the
+// backend's default saving.
+func TestSortShardedForwardsBackendParams(t *testing.T) {
+	_, url := shardFleet(t, 2, Config{Workers: 2, QueueDepth: 8})
+	keys := dataset.Uniform(20000, 4)
+	forms := map[string]func() *http.Response{
+		"json": func() *http.Response {
+			return postJSON(t, url+"/v1/sort/sharded?wait=1", json.RawMessage(
+				`{"dataset":{"kind":"uniform","n":20000,"seed":4},"backend":"spintronic","params":{"saving":0.5},"mode":"hybrid","run_size":4096,"seed":8}`))
+		},
+		"octet": func() *http.Response {
+			return postOctet(t, url+"/v1/sort/sharded?wait=1&backend=spintronic&params.saving=0.5&mode=hybrid&run_size=4096&seed=8",
+				encodeKeys(keys))
+		},
+	}
+	for _, form := range []string{"json", "octet"} {
+		job := decodeJob(t, forms[form]())
+		if job.Status != StatusDone || job.Result == nil || job.Result.Cluster == nil {
+			t.Fatalf("%s: job = %+v", form, job)
+		}
+		want := job.Result.Params
+		if want["saving"] != 0.5 {
+			t.Errorf("%s: job reports params %v, want saving 0.5", form, want)
+		}
+		for i, sh := range job.Result.Cluster.Shards {
+			resp, err := http.Get(sh.Node + "/v1/jobs/" + sh.JobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard := decodeJob(t, resp)
+			if shard.Result == nil || shard.Result.Backend != "spintronic" {
+				t.Fatalf("%s: shard %d job = %+v", form, i, shard)
+			}
+			if got := shard.Result.Params; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: shard %d ran at %v, the job reports %v", form, i, got, want)
+			}
+		}
 	}
 }
