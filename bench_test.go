@@ -351,9 +351,8 @@ func BenchmarkPlanner(b *testing.B) {
 	var plan core.Plan
 	var err error
 	for i := 0; i < b.N; i++ {
-		plan, err = core.Planner{Config: core.Config{
-			Algorithm: sorts.MSD{Bits: 3}, T: 0.055, Seed: benchSeed,
-		}}.Plan(keys)
+		plan, err = core.Planner{Config: core.Config{T: 0.055, Seed: benchSeed}}.
+			Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: sorts.MSD{Bits: 3}}})
 		if err != nil {
 			b.Fatal(err)
 		}

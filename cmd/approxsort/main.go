@@ -123,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *plan {
-		p, err := core.Planner{Config: cfg}.Plan(keys)
+		p, err := core.Planner{Config: cfg}.Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: cfg.Algorithm}})
 		if err != nil {
 			fmt.Fprintf(stdout, "planner unavailable (%v); proceeding with hybrid run\n\n", err)
 		} else {

@@ -209,12 +209,12 @@ func parseLevels(s string) ([]int, error) {
 // round-robin by index; every request's seeds are a pure function of
 // (base seed, level, worker, index), so reruns and different worker
 // interleavings replay identical work.
-func buildRequests(cfg loadConfig, level int) [][]server.SortRequest {
-	reqs := make([][]server.SortRequest, level)
+func buildRequests(cfg loadConfig, level int) [][]server.JobSpec {
+	reqs := make([][]server.JobSpec, level)
 	for j := 0; j < cfg.Jobs; j++ {
 		w := j % level
 		i := len(reqs[w])
-		reqs[w] = append(reqs[w], server.SortRequest{
+		reqs[w] = append(reqs[w], server.JobSpec{Common: server.Common{
 			Dataset: &server.DatasetSpec{
 				Kind: cfg.Dist,
 				N:    cfg.N,
@@ -226,7 +226,7 @@ func buildRequests(cfg loadConfig, level int) [][]server.SortRequest {
 			Backend:   cfg.Backend,
 			T:         cfg.T,
 			Seed:      rng.Split(cfg.Seed, "sortload", "run", level, w, i),
-		})
+		}})
 	}
 	return reqs
 }
@@ -329,26 +329,16 @@ func driveLevel(cfg loadConfig, level int) (levelSummary, error) {
 // postJob runs one synchronous job, retrying on 429 backpressure (the
 // closed loop can still overrun the queue when the daemon serves other
 // clients).
-func postJob(cfg loadConfig, req server.SortRequest) jobOutcome {
+func postJob(cfg loadConfig, req server.JobSpec) jobOutcome {
 	route := "/v1/sort?wait=1"
-	var payload any = req
 	if cfg.Stream {
 		// Same deterministic coordinates, driven through the streaming
 		// job class: the server generates the dataset as a stream and
 		// runs the out-of-core external sort.
 		route = "/v1/sort/stream?wait=1"
-		payload = server.StreamRequest{
-			Dataset:   req.Dataset,
-			Algorithm: req.Algorithm,
-			Bits:      req.Bits,
-			Mode:      req.Mode,
-			Backend:   req.Backend,
-			T:         req.T,
-			Seed:      req.Seed,
-			RunSize:   cfg.RunSize,
-		}
+		req.RunSize = cfg.RunSize
 	}
-	body, err := json.Marshal(payload)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return jobOutcome{err: err}
 	}
@@ -462,8 +452,8 @@ func driveSharded(cfg loadConfig, stdout io.Writer) error {
 // fan-out the coordinator chose and whether the cross-shard audit chain
 // verified.
 func postShardedJob(cfg loadConfig, cap, i int) (jobOutcome, int, bool) {
-	payload := server.ShardedRequest{
-		StreamRequest: server.StreamRequest{
+	payload := server.JobSpec{
+		Common: server.Common{
 			Dataset: &server.DatasetSpec{
 				Kind: cfg.Dist,
 				N:    cfg.N,
@@ -475,10 +465,9 @@ func postShardedJob(cfg loadConfig, cap, i int) (jobOutcome, int, bool) {
 			Backend:   cfg.Backend,
 			T:         cfg.T,
 			Seed:      rng.Split(cfg.Seed, "sortload", "sharded", "run", cap, i),
-			RunSize:   cfg.RunSize,
 		},
-		Tenant:    cfg.Tenant,
-		MaxShards: cap,
+		External: server.External{RunSize: cfg.RunSize},
+		Fleet:    server.Fleet{Tenant: cfg.Tenant, MaxShards: cap},
 	}
 	body, err := json.Marshal(payload)
 	if err != nil {

@@ -9,7 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -30,49 +33,131 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// JobParams are the sort parameters a shard job is submitted with,
-// mirroring the /v1/sort/stream octet-stream query form.
+// JobParams are the sort parameters a shard job is submitted with: the
+// octet-stream form of POST /v1/sort/stream, under the names of its JSON
+// body. Backend, Params and T travel as the job named them, so each shard
+// resolves the same operating point as the coordinator.
 type JobParams struct {
-	Algorithm     string
-	Bits          int
-	Mode          string
-	Backend       string
-	T             float64
-	Seed          uint64
-	RunSize       int
-	FanIn         int
-	Formation     string
-	RefineAtMerge bool
+	Algorithm     string             `json:"algorithm,omitempty"`
+	Bits          int                `json:"bits,omitempty"`
+	Mode          string             `json:"mode,omitempty"`
+	Backend       string             `json:"backend,omitempty"`
+	Params        map[string]float64 `json:"params,omitempty"`
+	T             float64            `json:"t,omitempty"`
+	Seed          uint64             `json:"seed,omitempty"`
+	RunSize       int                `json:"run_size,omitempty"`
+	FanIn         int                `json:"fan_in,omitempty"`
+	Formation     string             `json:"formation,omitempty"`
+	RefineAtMerge bool               `json:"refine_at_merge,omitempty"`
 }
 
-func (p JobParams) query() url.Values {
+// EncodeQuery renders the struct v points to as an octet-stream upload's
+// query: every non-zero scalar field under its JSON name, and a
+// map[string]float64 field as one name.key entry per key
+// (params.saving=0.5). Fields of embedded structs are included.
+// DecodeQuery is its inverse; together they are the one query codec of
+// sortd's upload routes and the coordinator's shard submissions.
+func EncodeQuery(v any) url.Values {
 	q := url.Values{}
-	set := func(k, v string) {
-		if v != "" {
-			q.Set(k, v)
+	queryFields(reflect.ValueOf(v), func(name string, f reflect.Value) error {
+		switch {
+		case f.IsZero():
+		case f.Kind() == reflect.Map:
+			iter := f.MapRange()
+			for iter.Next() {
+				q.Set(name+"."+iter.Key().String(), strconv.FormatFloat(iter.Value().Float(), 'g', -1, 64))
+			}
+		case f.Kind() == reflect.Float64:
+			q.Set(name, strconv.FormatFloat(f.Float(), 'g', -1, 64))
+		default:
+			q.Set(name, fmt.Sprint(f.Interface()))
+		}
+		return nil
+	})
+	return q
+}
+
+// DecodeQuery sets the fields of the struct v points to from q, by the
+// names EncodeQuery writes. Keys v has no field for, and empty values,
+// are ignored; a malformed value is an error naming its key.
+func DecodeQuery(q url.Values, v any) error {
+	return queryFields(reflect.ValueOf(v), func(name string, f reflect.Value) error {
+		if f.Kind() == reflect.Map {
+			keys := make([]string, 0, len(q))
+			for k := range q {
+				if strings.HasPrefix(k, name+".") {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				x, err := strconv.ParseFloat(q.Get(k), 64)
+				if err != nil {
+					return fmt.Errorf("bad %s: %v", k, err)
+				}
+				if f.IsNil() {
+					f.Set(reflect.MakeMap(f.Type()))
+				}
+				f.SetMapIndex(reflect.ValueOf(strings.TrimPrefix(k, name+".")), reflect.ValueOf(x))
+			}
+			return nil
+		}
+		s := q.Get(name)
+		if s == "" {
+			return nil
+		}
+		var err error
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(s)
+		case reflect.Bool:
+			var b bool
+			b, err = strconv.ParseBool(s)
+			f.SetBool(b)
+		case reflect.Int:
+			var n int
+			n, err = strconv.Atoi(s)
+			f.SetInt(int64(n))
+		case reflect.Int64:
+			var n int64
+			n, err = strconv.ParseInt(s, 10, 64)
+			f.SetInt(n)
+		case reflect.Uint64:
+			var n uint64
+			n, err = strconv.ParseUint(s, 10, 64)
+			f.SetUint(n)
+		case reflect.Float64:
+			var x float64
+			x, err = strconv.ParseFloat(s, 64)
+			f.SetFloat(x)
+		}
+		if err != nil {
+			return fmt.Errorf("bad %s: %v", name, err)
+		}
+		return nil
+	})
+}
+
+// queryFields calls fn on each JSON-named field of the struct v holds or
+// points to, descending into embedded structs, and stops at fn's first
+// error.
+func queryFields(v reflect.Value, fn func(name string, f reflect.Value) error) error {
+	v = reflect.Indirect(v)
+	for i := 0; i < v.NumField(); i++ {
+		sf, f := v.Type().Field(i), v.Field(i)
+		if sf.Anonymous {
+			if err := queryFields(f, fn); err != nil {
+				return err
+			}
+			continue
+		}
+		if name, _, _ := strings.Cut(sf.Tag.Get("json"), ","); name != "" && name != "-" {
+			if err := fn(name, f); err != nil {
+				return err
+			}
 		}
 	}
-	set("algorithm", p.Algorithm)
-	set("mode", p.Mode)
-	set("backend", p.Backend)
-	set("formation", p.Formation)
-	if p.Bits != 0 {
-		q.Set("bits", strconv.Itoa(p.Bits))
-	}
-	if p.T != 0 {
-		q.Set("t", strconv.FormatFloat(p.T, 'g', -1, 64))
-	}
-	q.Set("seed", strconv.FormatUint(p.Seed, 10))
-	if p.RunSize != 0 {
-		q.Set("run_size", strconv.Itoa(p.RunSize))
-	}
-	if p.FanIn != 0 {
-		q.Set("fan_in", strconv.Itoa(p.FanIn))
-	}
-	if p.RefineAtMerge {
-		q.Set("refine_at_merge", "true")
-	}
-	return q
+	return nil
 }
 
 // jobView mirrors the slice of the sortd job snapshot the coordinator
@@ -137,7 +222,7 @@ func decodeError(resp *http.Response) error {
 // queue-full response backs off per Retry-After and retries; bodyFn
 // re-opens the upload for each attempt.
 func (c *Client) Submit(ctx context.Context, p JobParams, bodyFn func() (io.ReadCloser, error)) (string, error) {
-	u := c.Node + "/v1/sort/stream?" + p.query().Encode()
+	u := c.Node + "/v1/sort/stream?" + EncodeQuery(&p).Encode()
 	retries := c.SubmitRetries
 	if retries <= 0 {
 		retries = 20

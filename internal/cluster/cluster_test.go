@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -431,5 +432,30 @@ func TestClientSurfacesServerErrors(t *testing.T) {
 	}
 	if err := c.InstallTable(ctx, []byte(`{"params":{}}`)); err == nil {
 		t.Error("InstallTable with invalid artifact succeeded")
+	}
+}
+
+// TestQueryCodecRoundTrip pins that the coordinator's shard submission
+// decodes back to the parameters it encoded, backend params included.
+func TestQueryCodecRoundTrip(t *testing.T) {
+	want := cluster.JobParams{
+		Algorithm: "onesweep-lsd", Bits: 8, Mode: "hybrid", Backend: "spintronic",
+		Params: map[string]float64{"saving": 0.5, "bit_error_prob": 1e-5},
+		T:      0.0625, Seed: 1<<64 - 1, RunSize: 4096, FanIn: 8, Formation: "chunk", RefineAtMerge: true,
+	}
+	q := cluster.EncodeQuery(&want)
+	if got := q.Get("params.saving"); got != "0.5" {
+		t.Errorf("params.saving = %q in %v", got, q)
+	}
+	var got cluster.JobParams
+	if err := cluster.DecodeQuery(q, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if err := cluster.DecodeQuery(map[string][]string{"params.saving": {"x"}}, &got); err == nil ||
+		!strings.Contains(err.Error(), "bad params.saving") {
+		t.Errorf("malformed param value: err = %v", err)
 	}
 }

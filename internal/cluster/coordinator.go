@@ -205,7 +205,11 @@ func (co *Coordinator) Sort(ctx context.Context, src io.Reader, out io.Writer) (
 	}
 
 	// Phase 2: plan S and the per-shard geometry.
-	plan, shards, err := co.plan(rv.Keys(), records)
+	backend, point, t, err := memmodel.Resolve(co.cfg.Job.Backend, co.cfg.Job.Params, co.cfg.Job.T)
+	if err != nil {
+		return Stats{}, err
+	}
+	plan, shards, err := co.plan(rv.Keys(), records, backend, point)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -241,7 +245,7 @@ func (co *Coordinator) Sort(ctx context.Context, src io.Reader, out io.Writer) (
 
 	// Phase 5: one calibration campaign for the whole fleet.
 	if co.cfg.WarmTables && shards > 1 {
-		if err := co.warmTables(ctx, nodes); err != nil {
+		if err := co.warmTables(ctx, nodes, backend, t); err != nil {
 			stats.TableWarmError = err.Error()
 		} else {
 			stats.TableWarmed = true
@@ -269,23 +273,19 @@ func (co *Coordinator) Sort(ctx context.Context, src io.Reader, out io.Writer) (
 }
 
 // plan runs the sharded planner over the pilot sample and returns the
-// chosen shard count.
-func (co *Coordinator) plan(sample []uint32, records int64) (core.Plan, int, error) {
+// chosen shard count. Algorithm "auto" is sorts.StreamCandidates' roster,
+// the one every shard's streaming job runs under it.
+func (co *Coordinator) plan(sample []uint32, records int64, backend memmodel.Backend, point memmodel.Point) (core.Plan, int, error) {
 	job := co.cfg.Job
-	alg, err := resolveAlgorithm(job.Algorithm, job.Bits)
-	if err != nil {
-		return core.Plan{}, 0, err
-	}
-	backend, point, err := resolvePoint(job.Backend, job.T)
+	cands, err := sorts.Select(job.Algorithm, job.Bits, sorts.StreamCandidates(job.Bits))
 	if err != nil {
 		return core.Plan{}, 0, err
 	}
 	planner := core.Planner{Config: core.Config{
-		Algorithm: alg,
-		NewSpace:  func(sd uint64) core.Space { return backend.NewApprox(point, sd) },
-		Seed:      rng.Split(job.Seed, "cluster", "pilot"),
+		NewSpace: func(sd uint64) core.Space { return backend.NewApprox(point, sd) },
+		Seed:     rng.Split(job.Seed, "cluster", "pilot"),
 	}}
-	plan, err := planner.PlanSharded(sample, core.ShardConfig{
+	plan, err := planner.Plan(sample, core.ShardConfig{
 		Ext: core.ExtConfig{
 			N:                  records,
 			MemBudget:          co.cfg.MemBudget,
@@ -295,51 +295,11 @@ func (co *Coordinator) plan(sample []uint32, records int64) (core.Plan, int, err
 			AllowRefineAtMerge: job.RefineAtMerge || job.Mode == "" || job.Mode == "auto",
 		},
 		MaxShards: co.cfg.MaxShards,
-	})
+	}, cands)
 	if err != nil {
 		return core.Plan{}, 0, err
 	}
 	return plan, plan.Sharded.Shards, nil
-}
-
-// resolveAlgorithm mirrors the sortd API's algorithm names for the
-// coordinator's pilot.
-func resolveAlgorithm(name string, bits int) (sorts.Algorithm, error) {
-	if bits == 0 {
-		bits = 6
-	}
-	switch name {
-	case "", "auto", "msd":
-		return sorts.MSD{Bits: bits}, nil
-	case "lsd":
-		return sorts.LSD{Bits: bits}, nil
-	case "quicksort":
-		return sorts.Quicksort{}, nil
-	case "mergesort":
-		return sorts.Mergesort{}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown algorithm %q", name)
-	}
-}
-
-// resolvePoint resolves the backend operating point for the pilot.
-func resolvePoint(name string, t float64) (memmodel.Backend, memmodel.Point, error) {
-	b, err := memmodel.Get(name)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	pt := memmodel.Point{Backend: b.Name()}
-	if t != 0 {
-		if b.Name() != memmodel.PCMMLC {
-			return nil, memmodel.Point{}, fmt.Errorf("cluster: t applies only to the %s backend", memmodel.PCMMLC)
-		}
-		pt.Params = map[string]float64{"t": t}
-	}
-	pt, err = b.Normalize(pt)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	return b, pt, nil
 }
 
 // spoolAndSample copies the input stream to path while feeding every
@@ -434,16 +394,14 @@ func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.raw", i))
 }
 
-// warmTables relays the calibrated table artifact from the first shard
-// to the rest. The coordinator treats the artifact as opaque bytes.
-func (co *Coordinator) warmTables(ctx context.Context, nodes []string) error {
-	if b, err := memmodel.Get(co.cfg.Job.Backend); err != nil || b.Name() != memmodel.PCMMLC {
-		if err != nil {
-			return err
-		}
+// warmTables relays the calibrated table artifact for half-width t from
+// the first shard to the rest. The coordinator treats the artifact as
+// opaque bytes.
+func (co *Coordinator) warmTables(ctx context.Context, nodes []string, b memmodel.Backend, t float64) error {
+	if b.Name() != memmodel.PCMMLC {
 		return fmt.Errorf("table warming applies only to the %s backend", memmodel.PCMMLC)
 	}
-	artifact, err := co.client(nodes[0]).FetchTable(ctx, co.cfg.Job.T)
+	artifact, err := co.client(nodes[0]).FetchTable(ctx, t)
 	if err != nil {
 		return err
 	}

@@ -11,34 +11,42 @@ import (
 	"approxsort/internal/sorts"
 )
 
-// planAutoExhaustive is the reference for PlanAuto's branch and bound: it
-// pilots every candidate in roster order and keeps the first strict
-// minimum of the predicted write cost. It also checks every candidate's
-// cost against the bound PlanAuto prunes with.
-func planAutoExhaustive(t *testing.T, pl Planner, keys []uint32, candidates []sorts.Candidate) Plan {
+// planExhaustive is the reference for Plan's candidate contest: it plans
+// every candidate alone, in roster order, and keeps the first strict
+// minimum of the geometry's cost — min(hybrid, baseline) writes in
+// memory, External.TotalWrites out of core, Sharded.CriticalPath across
+// shards. For the in-memory geometry it also checks every candidate's cost
+// against the bound Plan prunes with.
+func planExhaustive(t *testing.T, pl Planner, keys []uint32, geo Geometry, candidates []sorts.Candidate) Plan {
 	t.Helper()
 	n := len(keys)
 	var best Plan
 	bestCost := math.Inf(1)
 	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.Plan(keys)
+		plan, err := pl.Plan(keys, geo, []sorts.Candidate{c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := AlphaFor(c.Alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := CostModel{P: plan.P, Alpha: alpha}
-		cost := model.BaselineWrites(n)
-		if plan.UseHybrid {
-			cost = model.HybridWrites(n, plan.PredictedRem)
-		}
-		if bound := autoCostBound(alpha, n); !(cost >= bound) {
-			t.Fatalf("n=%d %s: cost %v below its bound %v (p=%v, hybrid=%v, rem=%d)",
-				n, c.Name, cost, bound, plan.P, plan.UseHybrid, plan.PredictedRem)
+		var cost float64
+		switch geo.(type) {
+		case InMemory:
+			alpha, err := AlphaFor(c.Alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := CostModel{P: plan.P, Alpha: alpha}
+			cost = model.BaselineWrites(n)
+			if plan.UseHybrid {
+				cost = model.HybridWrites(n, plan.PredictedRem)
+			}
+			if bound := autoCostBound(alpha, n); !(cost >= bound) {
+				t.Fatalf("n=%d %s: cost %v below its bound %v (p=%v, hybrid=%v, rem=%d)",
+					n, c.Name, cost, bound, plan.P, plan.UseHybrid, plan.PredictedRem)
+			}
+		case ExtConfig:
+			cost = plan.External.TotalWrites
+		case ShardConfig:
+			cost = plan.Sharded.CriticalPath
 		}
 		if cost < bestCost {
 			bestCost = cost
@@ -49,29 +57,57 @@ func planAutoExhaustive(t *testing.T, pl Planner, keys []uint32, candidates []so
 	return best
 }
 
-// TestPlanAutoMatchesExhaustive pins that pruning never changes a plan:
-// over backends, sizes either side of the pilot size, input shapes and
-// seeds, PlanAuto's plan is deep-equal to the exhaustive loop's, and no
-// candidate's cost falls below its bound. n = 2^16 adds exact cost ties
-// (quicksort and the 8-bit OneSweep both write 8 words per key there), so
-// the roster-order tie-break is pinned too. The grid must prune some
-// pilots, so the branch and bound is exercised.
-func TestPlanAutoMatchesExhaustive(t *testing.T) {
-	points := []memmodel.Point{
-		memmodel.MLC(0.02),
-		memmodel.MLC(0.055),
-		memmodel.MLC(0.1),
-		memmodel.MustGet(memmodel.SpintronicName).DefaultPoint(),
-		memmodel.MustGet(memmodel.MemristiveName).DefaultPoint(),
+// autoPoints are the backend operating points the contest is pinned at.
+var autoPoints = []memmodel.Point{
+	memmodel.MLC(0.02),
+	memmodel.MLC(0.055),
+	memmodel.MLC(0.1),
+	memmodel.MustGet(memmodel.SpintronicName).DefaultPoint(),
+	memmodel.MustGet(memmodel.MemristiveName).DefaultPoint(),
+}
+
+// countingPlanner returns a planner on pt whose approximate spaces are
+// counted in *spaces: one per pilot run.
+func countingPlanner(t *testing.T, pt memmodel.Point, seed uint64, spaces *int) Planner {
+	t.Helper()
+	b := memmodel.MustGet(pt.Backend)
+	npt, err := b.Normalize(pt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return Planner{Config: Config{
+		NewSpace: func(s uint64) Space { *spaces++; return b.NewApprox(npt, s) },
+		Seed:     seed,
+	}}
+}
+
+// TestPlanAutoMatchesExhaustive pins that Plan's contest is the
+// exhaustive one for every geometry. In memory, over backends, sizes
+// either side of the pilot size, input shapes and seeds, the pruned plan
+// is deep-equal to the exhaustive loop's, and no candidate's cost falls
+// below its bound. n = 2^16 adds exact cost ties (quicksort and the 8-bit
+// OneSweep both write 8 words per key there), so the roster-order
+// tie-break is pinned too. The grid must prune some pilots, so the branch
+// and bound is exercised. Out of core and across shards, the winner is
+// the cheapest whole geometry, labelled with its registry name.
+func TestPlanAutoMatchesExhaustive(t *testing.T) {
 	cands := sorts.AutoCandidates()
-	prunedPilots, exhaustivePilots := 0, 0
-	for _, pt := range points {
-		b := memmodel.MustGet(pt.Backend)
-		npt, err := b.Normalize(pt)
+	check := func(name string, pl Planner, keys []uint32, geo Geometry, spaces *int) (planned, exhaustive int) {
+		got, err := pl.Plan(keys, geo, cands)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: Plan: %v", name, err)
 		}
+		planned, *spaces = *spaces, 0
+		want := planExhaustive(t, pl, keys, geo, cands)
+		exhaustive, *spaces = *spaces, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: plan\n %+v\nexhaustive plan\n %+v", name, got, want)
+		}
+		return planned, exhaustive
+	}
+
+	prunedPilots, exhaustivePilots := 0, 0
+	for _, pt := range autoPoints {
 		for _, n := range []int{1, 2, 3, 100, 4096, 9000, 50000, 1 << 16} {
 			for _, seed := range []uint64{1, 2, 3} {
 				inputs := map[string][]uint32{
@@ -80,23 +116,12 @@ func TestPlanAutoMatchesExhaustive(t *testing.T) {
 					"fewdistinct": dataset.FewDistinct(n, 16, seed),
 				}
 				for _, dist := range []string{"uniform", "sorted", "fewdistinct"} {
-					name := fmt.Sprintf("%v/n=%d/%s/seed=%d", pt, n, dist, seed)
 					spaces := 0
-					pl := Planner{Config: Config{
-						NewSpace: func(s uint64) Space { spaces++; return b.NewApprox(npt, s) },
-						Seed:     1729 + seed,
-					}}
-					got, err := pl.PlanAuto(inputs[dist], cands)
-					if err != nil {
-						t.Fatalf("%s: PlanAuto: %v", name, err)
-					}
-					prunedPilots += spaces
-					spaces = 0
-					want := planAutoExhaustive(t, pl, inputs[dist], cands)
-					exhaustivePilots += spaces
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: pruned plan\n %+v\nexhaustive plan\n %+v", name, got, want)
-					}
+					pl := countingPlanner(t, pt, 1729+seed, &spaces)
+					name := fmt.Sprintf("%v/n=%d/%s/seed=%d", pt, n, dist, seed)
+					p, e := check(name, pl, inputs[dist], InMemory{}, &spaces)
+					prunedPilots += p
+					exhaustivePilots += e
 				}
 			}
 		}
@@ -106,4 +131,56 @@ func TestPlanAutoMatchesExhaustive(t *testing.T) {
 			prunedPilots, exhaustivePilots)
 	}
 	t.Logf("approximate spaces built: pruned %d, exhaustive %d", prunedPilots, exhaustivePilots)
+
+	ext := ExtConfig{N: 20_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true}
+	geometries := map[string]Geometry{
+		"external": ext,
+		"sharded":  ShardConfig{Ext: ExtConfig{N: 100_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true}, MaxShards: 4},
+		"tiny":     ShardConfig{Ext: ExtConfig{N: 3000, MemBudget: 1 << 10, Block: 64}, MaxShards: 3},
+	}
+	for _, pt := range autoPoints {
+		for _, sample := range [][]uint32{dataset.Uniform(8192, 13), dataset.FewDistinct(3000, 16, 5)} {
+			for _, g := range []string{"external", "sharded", "tiny"} {
+				spaces := 0
+				pl := countingPlanner(t, pt, 99, &spaces)
+				name := fmt.Sprintf("%v/%s/n=%d", pt, g, len(sample))
+				check(name, pl, sample, geometries[g], &spaces)
+			}
+		}
+	}
+}
+
+// TestPlanPilotsEachCandidateOnce pins that the out-of-core geometries
+// price every fan-out and run size from one pilot per candidate: one
+// approximate space per candidate, whatever MaxShards is.
+func TestPlanPilotsEachCandidateOnce(t *testing.T) {
+	cands := sorts.AutoCandidates()
+	sample := dataset.Uniform(8192, 13)
+	ext := ExtConfig{N: 100_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true}
+	for _, geo := range []Geometry{ext, ShardConfig{Ext: ext, MaxShards: 1}, ShardConfig{Ext: ext, MaxShards: 4}} {
+		spaces := 0
+		pl := countingPlanner(t, memmodel.MLC(0.055), 99, &spaces)
+		plan, err := pl.Plan(sample, geo, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spaces != len(cands) {
+			t.Errorf("%T: %d pilots for %d candidates", geo, spaces, len(cands))
+		}
+		if sh := plan.Sharded; sh != nil && geo.(ShardConfig).MaxShards > 1 && sh.Shards < 2 {
+			t.Errorf("test point does not fan out: %+v", sh)
+		}
+	}
+}
+
+// TestPlanAutoVariantsRejectEmptyRoster pins the empty-roster error for
+// every geometry.
+func TestPlanAutoVariantsRejectEmptyRoster(t *testing.T) {
+	pl := Planner{Config: Config{T: 0.055, Seed: 1}}
+	ext := ExtConfig{N: 100, MemBudget: 1 << 16}
+	for _, geo := range []Geometry{InMemory{}, ext, ShardConfig{Ext: ext, MaxShards: 2}} {
+		if _, err := pl.Plan(dataset.Uniform(100, 1), geo, nil); err == nil {
+			t.Errorf("%T: Plan accepted an empty roster", geo)
+		}
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"approxsort/internal/sorts"
 )
 
 // This file extends the Equation 4 planner to out-of-core inputs with the
@@ -50,26 +48,6 @@ type ExtConfig struct {
 	// saves 2L+Rem~ precise writes per run, the merge fans in two cursors
 	// per run instead of one.
 	AllowRefineAtMerge bool
-}
-
-func (e ExtConfig) withDefaults() ExtConfig {
-	if e.Block == 0 {
-		e.Block = ExtBlockDefault
-	}
-	return e
-}
-
-func (e ExtConfig) validate() error {
-	if e.N <= 0 {
-		return errors.New("core: ExtConfig.N must be positive")
-	}
-	if e.MemBudget < 2 {
-		return fmt.Errorf("core: ExtConfig.MemBudget = %d; need at least 2 records", e.MemBudget)
-	}
-	if e.Block < 1 {
-		return fmt.Errorf("core: ExtConfig.Block = %d; need at least 1 record", e.Block)
-	}
-	return nil
 }
 
 // ExternalPlan is the out-of-core half of a Plan: the chosen external
@@ -149,64 +127,39 @@ func extGeometry(n int64, runLength int, cursorsPerRun int, ext ExtConfig) (runs
 	return runs, fanIn, passes
 }
 
-// PlanExternal plans an out-of-core sort of ext.N records from a pilot
-// over sample (typically the first buffered chunk of the stream). The
-// classic Plan fields carry the pilot measurements and the per-run Eq. 4
-// verdict at the chosen run length; Plan.External carries the geometry.
-func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
-	ext = ext.withDefaults()
-	if err := ext.validate(); err != nil {
-		return Plan{}, err
-	}
-	cfg := pl.Config
-	cfg.SkipBaseline = true
-	cfg.MeasureSortedness = false
-	cfg.PreciseSink, cfg.ApproxSink = nil, nil
-	if err := cfg.validate(); err != nil {
-		return Plan{}, err
-	}
-	alpha, err := AlphaFor(cfg.Algorithm)
-	if err != nil {
-		return Plan{}, fmt.Errorf("core: planner needs an analytic α: %w", err)
-	}
+func (e ExtConfig) check() (Geometry, error) { return e.checked() }
 
-	m := pl.PilotSize
-	if m <= 0 {
-		m = 4096
+// checked validates e and applies its defaults.
+func (e ExtConfig) checked() (ExtConfig, error) {
+	if e.Block == 0 {
+		e.Block = ExtBlockDefault
 	}
-	if m > len(sample) {
-		m = len(sample)
+	switch {
+	case e.N <= 0:
+		return e, errors.New("core: ExtConfig.N must be positive")
+	case e.MemBudget < 2:
+		return e, fmt.Errorf("core: ExtConfig.MemBudget = %d; need at least 2 records", e.MemBudget)
+	case e.Block < 1:
+		return e, fmt.Errorf("core: ExtConfig.Block = %d; need at least 1 record", e.Block)
 	}
+	return e, nil
+}
 
-	p, pilotRatio := 1.0, 1.0
-	if m >= 2 {
-		pilot := pilotSample(sample, m)
-		res, err := Run(pilot, cfg)
-		if err != nil {
-			return Plan{}, err
-		}
-		p = measuredPilotP(res.Report)
-		pilotRatio = res.Report.RemTildeRatio()
-	}
+// bound offers no pruning: the external contest compares whole
+// geometries, which a pilot-free bound does not capture.
+func (ExtConfig) bound(AlphaFunc, int) float64 { return math.Inf(-1) }
+
+// price plans an out-of-core sort of ext.N records from one candidate's
+// pilot and returns its predicted External.TotalWrites: each candidate
+// chooses its own best run size and formation variant, so candidates
+// compete on whole geometries, not just α. The classic Plan fields carry
+// the pilot measurements and the per-run Eq. 4 verdict at the chosen run
+// length; Plan.External carries the geometry.
+func (ext ExtConfig) price(pi pilot, _ int) (Plan, float64) {
+	alpha := pi.alpha
 	omega := ext.Omega
 	if omega <= 0 {
-		omega = p
-	}
-
-	// remAt extrapolates the pilot remainder ratio to a run of L records:
-	// corruption accumulates once per key write, so the ratio scales with
-	// the algorithm's writes per element, α(L)/L (as in Plan).
-	remAt := func(L int) int {
-		ratio := pilotRatio
-		if m >= 2 {
-			if am := alpha(m); am > 0 {
-				ratio *= (alpha(L) / float64(L)) / (am / float64(m))
-			}
-		}
-		if ratio > 1 {
-			ratio = 1
-		}
-		return int(ratio * float64(L))
+		omega = pi.p
 	}
 
 	model := CostModel{P: omega, Alpha: alpha}
@@ -219,11 +172,11 @@ func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
 		case !v.hybrid:
 			return 2 * alpha(L) / fl
 		case v.refineAtMerge:
-			rem := remAt(L)
+			rem := pi.remAt(L)
 			// Defer refine step 3's 2L+Rem~ precise writes to the merge.
 			return (model.HybridWrites(L, rem) - float64(2*L+rem)) / fl
 		default:
-			return model.HybridWrites(L, remAt(L)) / fl
+			return model.HybridWrites(L, pi.remAt(L)) / fl
 		}
 	}
 
@@ -277,7 +230,7 @@ func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
 				// fan-in, the merge pre-folds the small REM fragments
 				// instead of paying a full extra pass; the predicted
 				// collapse cost is the REM volume.
-				collapse = float64(remAt(runLength)) / float64(runLength) * float64(ext.N)
+				collapse = float64(pi.remAt(runLength)) / float64(runLength) * float64(ext.N)
 				extraPass = true
 			}
 			total := formation + merge + collapse
@@ -311,47 +264,9 @@ func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
 	best.PreciseWrites = bestPrecise
 
 	// The classic fields report the pilot measurement and the per-run
-	// Eq. 4 verdict at the chosen run length, with the same finite-value
-	// clamp Plan applies for JSON-bound service responses.
-	predictedRem := remAt(best.RunLength)
-	wr := CostModel{P: p, Alpha: alpha}.WriteReduction(best.RunLength, predictedRem)
-	if math.IsInf(wr, 0) || math.IsNaN(wr) {
-		wr = -1
-	}
-	return Plan{
-		UseHybrid:     best.UseHybrid,
-		PredictedWR:   wr,
-		P:             p,
-		PilotRemRatio: pilotRatio,
-		PredictedRem:  predictedRem,
-		PilotSize:     m,
-		External:      &best,
-	}, nil
-}
-
-// PlanExternalAuto runs the external planner for every candidate algorithm
-// and returns the plan with the lowest predicted External.TotalWrites —
-// each candidate already chose its own best run size and formation
-// variant, so the contest compares whole geometries, not just α. Ties
-// break to the earlier candidate (sorted-name rosters are deterministic).
-func (pl Planner) PlanExternalAuto(sample []uint32, ext ExtConfig, candidates []sorts.Candidate) (Plan, error) {
-	if len(candidates) == 0 {
-		return Plan{}, errors.New("core: PlanExternalAuto needs at least one candidate algorithm")
-	}
-	var best Plan
-	bestCost := math.Inf(1)
-	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.PlanExternal(sample, ext)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
-		}
-		if plan.External.TotalWrites < bestCost {
-			bestCost = plan.External.TotalWrites
-			plan.Algorithm = c.Name
-			best = plan
-		}
-	}
-	return best, nil
+	// Eq. 4 verdict at the chosen run length.
+	plan := pi.plan(best.RunLength)
+	plan.UseHybrid = best.UseHybrid
+	plan.External = &best
+	return plan, best.TotalWrites
 }

@@ -20,28 +20,31 @@ import (
 // on a small pilot: it runs approx-refine over a strided sample of the
 // input, reads the pilot's Rem~ ratio and mean approximate write latency,
 // extrapolates Rem~ to the full size (corruption per element scales with
-// the algorithm's writes per element, α(n)/n), and evaluates Equation 4.
+// the algorithm's writes per element, α(n)/n), and evaluates Equation 4
+// for the geometry being sorted.
 type Planner struct {
-	// Config selects the algorithm and memory model exactly as for Run.
-	// Baseline and sortedness measurement settings are ignored.
+	// Config selects the memory model exactly as for Run. The algorithm
+	// comes from Plan's candidates, so Config.Algorithm is ignored, as
+	// are the baseline, sortedness and sink settings.
 	Config Config
 
 	// PilotSize is the sample size for the pilot run (default 4096,
-	// clamped to the input size).
+	// clamped to the sample size).
 	PilotSize int
 }
 
 // Plan is the planner's verdict for a concrete input.
 type Plan struct {
-	// Algorithm is the registry name of the algorithm the plan evaluates.
-	// Set only by the auto planners (PlanAuto and friends), which choose
-	// it; single-algorithm plans leave it empty because the caller already
-	// fixed the algorithm.
+	// Algorithm is the registry name of the candidate the planner chose.
+	// It is set only when Plan chose among several candidates; a
+	// one-element roster leaves it empty because the caller already fixed
+	// the algorithm.
 	Algorithm string `json:",omitempty"`
 	// UseHybrid is true when approx-refine is predicted to beat the
 	// precise-only sort.
 	UseHybrid bool
-	// PredictedWR is Equation 4 evaluated at the full size.
+	// PredictedWR is Equation 4 evaluated at the full size (at the chosen
+	// run length for the external and sharded geometries).
 	PredictedWR float64
 	// P is the measured p(t) from the pilot.
 	P float64
@@ -51,116 +54,75 @@ type Plan struct {
 	PredictedRem  int
 	// PilotSize is the sample size actually used.
 	PilotSize int
-	// External is the out-of-core geometry verdict, set only by
-	// PlanExternal (nil for in-memory plans).
+	// External is the out-of-core geometry verdict, set for the external
+	// and sharded geometries (nil for in-memory plans).
 	External *ExternalPlan `json:",omitempty"`
-	// Sharded is the multi-node fan-out verdict, set only by PlanSharded
-	// (nil for single-node plans).
+	// Sharded is the multi-node fan-out verdict, set only for the sharded
+	// geometry (nil otherwise).
 	Sharded *ShardedPlan `json:",omitempty"`
 }
 
-// Plan runs the pilot over a strided sample of keys and returns the
-// verdict for sorting all of them.
-func (pl Planner) Plan(keys []uint32) (Plan, error) {
-	n := len(keys)
+// Geometry is the shape of the sort a plan prices: InMemory, an
+// ExtConfig (one node, out of core) or a ShardConfig (many nodes). Each
+// geometry turns one candidate's pilot into a plan and the cost the
+// candidates compete on.
+type Geometry interface {
+	// check validates the geometry and returns it with defaults applied.
+	check() (Geometry, error)
+	// bound is a lower bound on price's cost for a candidate whatever its
+	// pilot measures, or −Inf when the geometry offers none.
+	bound(alpha AlphaFunc, n int) float64
+	// price evaluates the geometry for one piloted candidate over an
+	// n-record sample.
+	price(pi pilot, n int) (plan Plan, cost float64)
+}
+
+// InMemory is the geometry of one in-memory sort of the whole sample
+// (N = len(sample)). Candidates compete on min(HybridWrites,
+// BaselineWrites) at the pilot's measured p and extrapolated remainder:
+// the two arms of the Section 4.3 switch (Eq. 4's WR is exactly
+// 1 − Hybrid/Baseline, so the plan's UseHybrid already names the cheaper
+// arm). Fixed-latency backends measure p = 1, which zeroes the hybrid
+// advantage and reduces the contest to the smallest baseline 2·α(n).
+type InMemory struct{}
+
+// Plan pilots every candidate algorithm once over a strided sample and
+// returns the plan of the one whose geometry prices cheapest; a fixed
+// algorithm is a one-element roster. Ties break to the earlier candidate,
+// so a sorted-name roster (sorts.AutoCandidates) makes the choice
+// deterministic.
+//
+// For the in-memory geometry a candidate whose cost provably cannot win
+// is not piloted: candidates are evaluated in ascending order of
+// autoCostBound, and one is skipped when its bound already exceeds the
+// best cost found, or equals it and the candidate comes later in the
+// roster. A skipped candidate's pilot errors therefore go unreported.
+func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candidate) (Plan, error) {
+	if len(candidates) == 0 {
+		return Plan{}, errors.New("core: the planner needs at least one candidate algorithm")
+	}
+	geo, err := geo.check()
+	if err != nil {
+		return Plan{}, err
+	}
 	cfg := pl.Config
 	cfg.SkipBaseline = true
 	cfg.MeasureSortedness = false
 	cfg.PreciseSink, cfg.ApproxSink = nil, nil
-	if err := cfg.validate(); err != nil {
-		return Plan{}, err
-	}
-	alpha, err := AlphaFor(cfg.Algorithm)
-	if err != nil {
-		return Plan{}, fmt.Errorf("core: planner needs an analytic α: %w", err)
-	}
-
-	m := pl.PilotSize
-	if m <= 0 {
-		m = 4096
-	}
-	if m > n {
-		m = n
-	}
-	if m < 2 {
-		// Nothing to learn from; the hybrid pipeline is pure overhead
-		// at these sizes anyway.
-		return Plan{UseHybrid: false, PredictedWR: -1, P: 1, PilotSize: m}, nil
-	}
-	pilot := pilotSample(keys, m)
-
-	res, err := Run(pilot, cfg)
-	if err != nil {
-		return Plan{}, err
-	}
-	r := res.Report
-	p := measuredPilotP(r)
-	pilotRatio := r.RemTildeRatio()
-
-	// Corruption accumulates once per key write, so scale the remainder
-	// ratio by the algorithms' writes-per-element ratio between the two
-	// sizes (1 for radix, log(n)/log(m) for the comparison sorts).
-	scale := 1.0
-	if am := alpha(m); am > 0 {
-		scale = (alpha(n) / float64(n)) / (am / float64(m))
-	}
-	predictedRatio := pilotRatio * scale
-	if predictedRatio > 1 {
-		predictedRatio = 1
-	}
-	predictedRem := int(predictedRatio * float64(n))
-
-	model := CostModel{P: p, Alpha: alpha}
-	wr := model.WriteReduction(n, predictedRem)
-	// Service inputs must always yield a JSON-encodable verdict:
-	// Equation 4 returns −Inf when α(n) is 0 (n < 2 for the comparison
-	// sorts), which still means "don't use hybrid" — clamp it to the same
-	// finite sentinel the tiny-input path uses.
-	if math.IsInf(wr, 0) || math.IsNaN(wr) {
-		wr = -1
-	}
-	return Plan{
-		UseHybrid:     wr > 0,
-		PredictedWR:   wr,
-		P:             p,
-		PilotRemRatio: pilotRatio,
-		PredictedRem:  predictedRem,
-		PilotSize:     m,
-	}, nil
-}
-
-// PlanAuto returns the plan of the candidate algorithm with the lowest
-// predicted write cost on this backend: min(HybridWrites, BaselineWrites)
-// at the pilot's measured p and extrapolated remainder (the two arms of
-// the Section 4.3 switch; Eq. 4's WR is exactly 1 − Hybrid/Baseline, so
-// the chosen plan's UseHybrid mode already names the cheaper arm).
-// Backend-awareness needs no extra plumbing: fixed-latency backends
-// measure p = 1, which zeroes the hybrid advantage and reduces the
-// contest to the smallest baseline 2·α(n), while write-asymmetric
-// backends weight each candidate's α by its measured latency ratio. Ties
-// break to the earlier candidate, so a sorted-name roster
-// (sorts.AutoCandidates) makes the choice deterministic.
-//
-// The choice is that of running the pilot for every candidate, but a
-// candidate whose cost provably cannot win is not piloted: candidates are
-// evaluated in ascending order of autoCostBound, and one is skipped when
-// its bound already exceeds the best cost found, or equals it and the
-// candidate comes later in the roster. A skipped candidate's pilot errors
-// therefore go unreported.
-func (pl Planner) PlanAuto(keys []uint32, candidates []sorts.Candidate) (Plan, error) {
-	if len(candidates) == 0 {
-		return Plan{}, errors.New("core: PlanAuto needs at least one candidate algorithm")
-	}
-	n := len(keys)
+	n := len(sample)
 	alphas := make([]AlphaFunc, len(candidates))
 	bounds := make([]float64, len(candidates))
 	order := make([]int, len(candidates))
 	for i, c := range candidates {
+		cfg.Algorithm = c.Alg
+		if err := cfg.validate(); err != nil {
+			return Plan{}, err
+		}
 		alpha, err := AlphaFor(c.Alg)
 		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
+			return Plan{}, err
 		}
-		alphas[i], bounds[i], order[i] = alpha, autoCostBound(alpha, n), i
+		alphas[i], bounds[i], order[i] = alpha, geo.bound(alpha, n), i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
 
@@ -173,33 +135,124 @@ func (pl Planner) PlanAuto(keys []uint32, candidates []sorts.Candidate) (Plan, e
 		if bounds[i] > bestCost || bounds[i] == bestCost && i > bestIdx { //nolint:floatord // a bound and a cost from the same CostModel expressions; ties are exact
 			continue
 		}
-		cpl := pl
-		cpl.Config.Algorithm = candidates[i].Alg
-		plan, err := cpl.Plan(keys)
+		cfg.Algorithm = candidates[i].Alg
+		pi, err := pl.pilot(sample, cfg, alphas[i])
 		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", candidates[i].Name, err)
+			return Plan{}, fmt.Errorf("core: pilot of %s: %w", candidates[i].Alg.Name(), err)
 		}
-		model := CostModel{P: plan.P, Alpha: alphas[i]}
-		cost := model.BaselineWrites(n)
-		if plan.UseHybrid {
-			cost = model.HybridWrites(n, plan.PredictedRem)
-		}
+		plan, cost := geo.price(pi, n)
 		if cost < bestCost || cost == bestCost && i < bestIdx { //nolint:floatord // exact tie-break: equal costs go to the earlier roster entry
 			bestCost, bestIdx = cost, i
-			plan.Algorithm = candidates[i].Name
 			best = plan
 		}
+	}
+	if len(candidates) > 1 && bestIdx >= 0 {
+		best.Algorithm = candidates[bestIdx].Name
 	}
 	return best, nil
 }
 
-// autoCostBound is a lower bound on the cost PlanAuto computes for a
-// candidate with write model alpha at size n, whatever its pilot
-// measures: min(BaselineWrites(n), HybridWrites(n, 0) at p = 0). It holds
-// exactly in floating point. The baseline arm does not depend on the
-// pilot. Every term of the hybrid arm is at least the matching term at
-// p = 0 and Rem~ = 0, because p ≥ 0, Rem~ ≥ 0, α ≥ 0 and α(0) = 0 for
-// every registered profile; the terms are summed in the same order, and
+// PlanAuto is Plan for the in-memory geometry, kept as a name because the
+// perfbench module replays sortd's auto pilot through it.
+func (pl Planner) PlanAuto(keys []uint32, candidates []sorts.Candidate) (Plan, error) {
+	return pl.Plan(keys, InMemory{}, candidates)
+}
+
+// pilot is one candidate's pilot measurement: the measured p(t) and
+// Rem~/m over an m-record sample, with the candidate's write model.
+// Below two records nothing is measured: p = 1 and the ratio is 1.
+type pilot struct {
+	p, ratio float64
+	m        int
+	alpha    AlphaFunc
+}
+
+// pilot runs cfg's approx-refine over an even-spread sample.
+func (pl Planner) pilot(sample []uint32, cfg Config, alpha AlphaFunc) (pilot, error) {
+	m := pl.PilotSize
+	if m <= 0 {
+		m = 4096
+	}
+	if m > len(sample) {
+		m = len(sample)
+	}
+	pi := pilot{p: 1, ratio: 1, m: m, alpha: alpha}
+	if m < 2 {
+		return pi, nil
+	}
+	res, err := Run(pilotSample(sample, m), cfg)
+	if err != nil {
+		return pilot{}, err
+	}
+	pi.p = measuredPilotP(res.Report)
+	pi.ratio = res.Report.RemTildeRatio()
+	return pi, nil
+}
+
+// remAt extrapolates the pilot remainder ratio to L records: corruption
+// accumulates once per key write, so the ratio scales with the
+// algorithm's writes per element, α(L)/L (1 for radix, log(L)/log(m) for
+// the comparison sorts).
+func (pi pilot) remAt(L int) int {
+	ratio := pi.ratio
+	if pi.m >= 2 {
+		if am := pi.alpha(pi.m); am > 0 {
+			ratio *= (pi.alpha(L) / float64(L)) / (am / float64(pi.m))
+		}
+	}
+	if ratio > 1 {
+		ratio = 1
+	}
+	return int(ratio * float64(L))
+}
+
+// plan returns the classic plan fields for an L-record sort at write
+// ratio p: the pilot measurements and Equation 4 at the extrapolated
+// remainder. Service inputs must always yield a JSON-encodable verdict:
+// Equation 4 returns −Inf when α(L) is 0 (L < 2 for the comparison
+// sorts), which still means "don't use hybrid", so it is clamped to the
+// finite sentinel −1.
+func (pi pilot) plan(L int) Plan {
+	rem := pi.remAt(L)
+	wr := CostModel{P: pi.p, Alpha: pi.alpha}.WriteReduction(L, rem)
+	if math.IsInf(wr, 0) || math.IsNaN(wr) {
+		wr = -1
+	}
+	return Plan{
+		UseHybrid:     wr > 0,
+		PredictedWR:   wr,
+		P:             pi.p,
+		PilotRemRatio: pi.ratio,
+		PredictedRem:  rem,
+		PilotSize:     pi.m,
+	}
+}
+
+func (InMemory) check() (Geometry, error) { return InMemory{}, nil }
+
+func (InMemory) bound(alpha AlphaFunc, n int) float64 { return autoCostBound(alpha, n) }
+
+func (InMemory) price(pi pilot, n int) (Plan, float64) {
+	// Below two pilot records there is nothing to learn from; the hybrid
+	// pipeline is pure overhead at these sizes anyway.
+	plan := Plan{UseHybrid: false, PredictedWR: -1, P: 1, PilotSize: pi.m}
+	if pi.m >= 2 {
+		plan = pi.plan(n)
+	}
+	model := CostModel{P: plan.P, Alpha: pi.alpha}
+	if plan.UseHybrid {
+		return plan, model.HybridWrites(n, plan.PredictedRem)
+	}
+	return plan, model.BaselineWrites(n)
+}
+
+// autoCostBound is a lower bound on the in-memory cost of a candidate
+// with write model alpha at size n, whatever its pilot measures:
+// min(BaselineWrites(n), HybridWrites(n, 0) at p = 0). It holds exactly
+// in floating point. The baseline arm does not depend on the pilot. Every
+// term of the hybrid arm is at least the matching term at p = 0 and
+// Rem~ = 0, because p ≥ 0, Rem~ ≥ 0, α ≥ 0 and α(0) = 0 for every
+// registered profile; the terms are summed in the same order, and
 // rounding is monotone.
 func autoCostBound(alpha AlphaFunc, n int) float64 {
 	return math.Min(CostModel{Alpha: alpha}.BaselineWrites(n), CostModel{Alpha: alpha}.HybridWrites(n, 0))

@@ -8,9 +8,12 @@ import (
 	"approxsort/internal/sorts"
 )
 
+// only is the one-element roster of a fixed algorithm.
+func only(alg sorts.Algorithm) []sorts.Candidate { return []sorts.Candidate{{Alg: alg}} }
+
 func TestPlannerPicksHybridAtSweetSpot(t *testing.T) {
 	keys := dataset.Uniform(500000, 1)
-	plan, err := Planner{Config: Config{Algorithm: sorts.MSD{Bits: 3}, T: 0.055, Seed: 2}}.Plan(keys)
+	plan, err := Planner{Config: Config{T: 0.055, Seed: 2}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestPlannerPicksHybridAtSweetSpot(t *testing.T) {
 
 func TestPlannerRejectsPreciseT(t *testing.T) {
 	keys := dataset.Uniform(500000, 3)
-	plan, err := Planner{Config: Config{Algorithm: sorts.MSD{Bits: 3}, T: 0.025, Seed: 4}}.Plan(keys)
+	plan, err := Planner{Config: Config{T: 0.025, Seed: 4}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestPlannerRejectsMergesort(t *testing.T) {
 	// Mergesort's pilot remainder is large enough that Eq. 4 goes
 	// negative — matching Figure 9's finding.
 	keys := dataset.Uniform(200000, 5)
-	plan, err := Planner{Config: Config{Algorithm: sorts.Mergesort{}, T: 0.055, Seed: 6}}.Plan(keys)
+	plan, err := Planner{Config: Config{T: 0.055, Seed: 6}}.Plan(keys, InMemory{}, only(sorts.Mergesort{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestPlannerRejectsMergesort(t *testing.T) {
 }
 
 func TestPlannerTinyInput(t *testing.T) {
-	plan, err := Planner{Config: Config{Algorithm: sorts.Quicksort{}, T: 0.055}}.Plan([]uint32{5})
+	plan, err := Planner{Config: Config{T: 0.055}}.Plan([]uint32{5}, InMemory{}, only(sorts.Quicksort{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +63,10 @@ func TestPlannerTinyInput(t *testing.T) {
 }
 
 func TestPlannerValidatesConfig(t *testing.T) {
-	if _, err := (Planner{Config: Config{T: 0.055}}).Plan(dataset.Uniform(10, 1)); err == nil {
+	if _, err := (Planner{Config: Config{T: 0.055}}).Plan(dataset.Uniform(10, 1), InMemory{}, only(nil)); err == nil {
 		t.Error("missing algorithm accepted")
 	}
-	if _, err := (Planner{Config: Config{Algorithm: fakeAlg{}, T: 0.055}}).Plan(dataset.Uniform(10000, 1)); err == nil {
+	if _, err := (Planner{Config: Config{T: 0.055}}).Plan(dataset.Uniform(10000, 1), InMemory{}, only(fakeAlg{})); err == nil {
 		t.Error("algorithm without analytic α accepted")
 	}
 }
@@ -71,7 +74,7 @@ func TestPlannerValidatesConfig(t *testing.T) {
 func TestPlannerPredictionTracksMeasurement(t *testing.T) {
 	keys := dataset.Uniform(120000, 7)
 	cfg := Config{Algorithm: sorts.LSD{Bits: 3}, T: 0.055, Seed: 8}
-	plan, err := Planner{Config: cfg, PilotSize: 8192}.Plan(keys)
+	plan, err := Planner{Config: cfg, PilotSize: 8192}.Plan(keys, InMemory{}, only(cfg.Algorithm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +187,7 @@ func TestPlannerServiceInputs(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(alg.Name()+"/"+tc.name, func(t *testing.T) {
 				n := len(tc.keys)
-				plan, err := Planner{Config: Config{Algorithm: alg, T: 0.055, Seed: 3}}.Plan(tc.keys)
+				plan, err := Planner{Config: Config{T: 0.055, Seed: 3}}.Plan(tc.keys, InMemory{}, only(alg))
 				if err != nil {
 					t.Fatalf("planner failed on service input: %v", err)
 				}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"approxsort/internal/sorts"
 )
 
 // This file extends the (M, B, ω) external planner across machines: a
@@ -38,12 +36,27 @@ type ShardConfig struct {
 	JobOverhead float64
 }
 
-func (s ShardConfig) validate() error {
+// check validates s and applies its defaults, the per-shard ExtConfig's
+// included.
+func (s ShardConfig) check() (Geometry, error) {
 	if s.MaxShards < 1 {
-		return fmt.Errorf("core: ShardConfig.MaxShards = %d; need at least 1", s.MaxShards)
+		return nil, fmt.Errorf("core: ShardConfig.MaxShards = %d; need at least 1", s.MaxShards)
 	}
-	return nil
+	if s.Ext.N <= 0 {
+		return nil, errors.New("core: ShardConfig.Ext.N must be positive")
+	}
+	var err error
+	if s.Ext, err = s.Ext.checked(); err != nil {
+		return nil, err
+	}
+	if s.JobOverhead <= 0 {
+		s.JobOverhead = float64(ExtBlockDefault)
+	}
+	return s, nil
 }
+
+// bound offers no pruning, as for ExtConfig.
+func (ShardConfig) bound(AlphaFunc, int) float64 { return math.Inf(-1) }
 
 // ShardedPlan is the multi-node verdict: how many shards to fan out
 // over, the cross-shard merge shape, and the predicted write budgets
@@ -79,25 +92,15 @@ type ShardedPlan struct {
 	Speedup      float64
 }
 
-// PlanSharded plans a multi-node sort of cfg.Ext.N records from a pilot
-// over sample. For each candidate S it re-runs the external planner at
-// the per-shard size ceil(N/S) — smaller shards may flip the run-size or
-// refine-at-merge verdicts, not just scale them — prices the cross-shard
-// merge at N writes per cross pass, and keeps the S minimizing the
-// critical path. The returned Plan carries both verdicts: External is
-// the per-shard geometry, Sharded the fan-out around it.
-func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
-	if err := cfg.validate(); err != nil {
-		return Plan{}, err
-	}
-	if cfg.Ext.N <= 0 {
-		return Plan{}, errors.New("core: ShardConfig.Ext.N must be positive")
-	}
-	overhead := cfg.JobOverhead
-	if overhead <= 0 {
-		overhead = float64(ExtBlockDefault)
-	}
-
+// price plans a multi-node sort of cfg.Ext.N records from one
+// candidate's pilot and returns its predicted critical path. For each
+// candidate S it prices the external geometry at the per-shard size
+// ceil(N/S) — smaller shards may flip the run-size or refine-at-merge
+// verdicts, not just scale them — prices the cross-shard merge at N
+// writes per cross pass, and keeps the S minimizing the critical path.
+// The returned Plan carries both verdicts: External is the per-shard
+// geometry, Sharded the fan-out around it.
+func (cfg ShardConfig) price(pi pilot, n int) (Plan, float64) {
 	var (
 		bestPlan Plan
 		best     ShardedPlan
@@ -114,10 +117,7 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 			// so fan-out candidates stop at out-of-core shard sizes.
 			break
 		}
-		p, err := pl.PlanExternal(sample, ext)
-		if err != nil {
-			return Plan{}, err
-		}
+		p, _ := ext.price(pi, n)
 		per := p.External
 
 		crossFan := s
@@ -134,7 +134,7 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 		cross := float64(crossPasses) * float64(cfg.Ext.N)
 		partition := 0.0
 		if s > 1 {
-			partition = float64(cfg.Ext.N) + float64(s)*overhead
+			partition = float64(cfg.Ext.N) + float64(s)*cfg.JobOverhead
 		}
 		crit := per.TotalWrites + cross + partition
 		if s == 1 {
@@ -162,31 +162,5 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 		best.Speedup = 1
 	}
 	bestPlan.Sharded = &best
-	return bestPlan, nil
-}
-
-// PlanShardedAuto runs the multi-node planner for every candidate
-// algorithm and returns the plan with the lowest predicted critical path —
-// each candidate chose its own shard count and per-shard geometry. Ties
-// break to the earlier candidate (sorted-name rosters are deterministic).
-func (pl Planner) PlanShardedAuto(sample []uint32, cfg ShardConfig, candidates []sorts.Candidate) (Plan, error) {
-	if len(candidates) == 0 {
-		return Plan{}, errors.New("core: PlanShardedAuto needs at least one candidate algorithm")
-	}
-	var best Plan
-	bestCost := math.Inf(1)
-	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.PlanSharded(sample, cfg)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
-		}
-		if plan.Sharded.CriticalPath < bestCost {
-			bestCost = plan.Sharded.CriticalPath
-			plan.Algorithm = c.Name
-			best = plan
-		}
-	}
-	return best, nil
+	return bestPlan, bestCost
 }

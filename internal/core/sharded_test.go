@@ -10,12 +10,12 @@ import (
 func shardPlan(t *testing.T, cfg ShardConfig) Plan {
 	t.Helper()
 	sample := dataset.Uniform(8192, 13)
-	plan, err := Planner{Config: Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 99}}.PlanSharded(sample, cfg)
+	plan, err := Planner{Config: Config{T: 0.055, Seed: 99}}.Plan(sample, cfg, only(sorts.MSD{Bits: 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Sharded == nil || plan.External == nil {
-		t.Fatalf("PlanSharded left a verdict nil: %+v", plan)
+		t.Fatalf("sharded plan left a verdict nil: %+v", plan)
 	}
 	return plan
 }
@@ -99,11 +99,12 @@ func TestPlanShardedCrossFanInCap(t *testing.T) {
 }
 
 func TestPlanShardedValidation(t *testing.T) {
-	pl := Planner{Config: Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 1}}
-	if _, err := pl.PlanSharded(nil, ShardConfig{Ext: ExtConfig{N: 100, MemBudget: 1 << 16}}); err == nil {
+	pl := Planner{Config: Config{T: 0.055, Seed: 1}}
+	msd := only(sorts.MSD{Bits: 6})
+	if _, err := pl.Plan(nil, ShardConfig{Ext: ExtConfig{N: 100, MemBudget: 1 << 16}}, msd); err == nil {
 		t.Fatal("expected error for MaxShards=0")
 	}
-	if _, err := pl.PlanSharded(nil, ShardConfig{Ext: ExtConfig{N: 0, MemBudget: 1 << 16}, MaxShards: 2}); err == nil {
+	if _, err := pl.Plan(nil, ShardConfig{Ext: ExtConfig{N: 0, MemBudget: 1 << 16}, MaxShards: 2}, msd); err == nil {
 		t.Fatal("expected error for N=0")
 	}
 }

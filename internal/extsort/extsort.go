@@ -9,7 +9,7 @@
 // runs on the hybrid precise/approximate system (internal/core), spills
 // them to temporary files, and k-way-merges them into the output with a
 // tournament tree. Three axes are independently configurable and — under
-// AutoPlan — chosen by the (M, B, ω) cost model (core.PlanExternal,
+// AutoPlan — chosen by the (M, B, ω) cost model (core.Planner.Plan,
 // DESIGN.md §14):
 //
 //   - Run formation: replacement selection (the default; a tournament
@@ -43,6 +43,7 @@ import (
 
 	"approxsort/internal/core"
 	"approxsort/internal/rng"
+	"approxsort/internal/sorts"
 )
 
 // Formation disciplines for Config.Formation.
@@ -123,7 +124,7 @@ type Config struct {
 	// Under AutoPlan the planner decides and this is ignored.
 	Precise bool
 
-	// AutoPlan runs the (M, B, ω) planner (core.PlanExternal) on a pilot
+	// AutoPlan runs the (M, B, ω) planner (core.Planner.Plan) on a pilot
 	// prefix of the stream and lets its verdict choose run size, fan-in,
 	// hybrid vs precise, and refine-at-merge. Requires TotalRecords.
 	AutoPlan bool
@@ -369,7 +370,7 @@ func (st *state) plan(src *recordSource) error {
 
 	pilotCfg := st.cfg.Core
 	pilotCfg.Seed = rng.Split(st.cfg.Core.Seed, "extsort", "pilot")
-	plan, err := core.Planner{Config: pilotCfg}.PlanExternal(sample, core.ExtConfig{
+	plan, err := core.Planner{Config: pilotCfg}.Plan(sample, core.ExtConfig{
 		N:                  st.cfg.TotalRecords,
 		MemBudget:          st.cfg.RunSize,
 		Block:              st.cfg.Block,
@@ -377,7 +378,7 @@ func (st *state) plan(src *recordSource) error {
 		Omega:              st.cfg.Omega,
 		Replacement:        st.cfg.Formation == FormationReplacement,
 		AllowRefineAtMerge: !st.cfg.Precise,
-	})
+	}, []sorts.Candidate{{Alg: pilotCfg.Algorithm}})
 	if err != nil {
 		return fmt.Errorf("extsort: planning: %w", err)
 	}

@@ -180,7 +180,7 @@ type Backend interface {
 // WriteCostRatio returns ω: the ratio of the backend's modelled mean
 // approximate-write latency at pt to the precise-write latency. It is the
 // write-cost parameter of the (M, B, ω) external-sort cost model
-// (core.PlanExternal, DESIGN.md §14): ω < 1 means approximate writes are
+// (core.ExtConfig, DESIGN.md §14): ω < 1 means approximate writes are
 // cheap and run formation should lean on the approx stage; ω = 1 means
 // the device clock offers no write asymmetry to exploit.
 func WriteCostRatio(b Backend, pt Point) float64 {
@@ -235,6 +235,41 @@ func Get(name string) (Backend, error) {
 		return nil, &UnknownBackendError{Name: name}
 	}
 	return b, nil
+}
+
+// Resolve turns a request's backend name, parameter map and legacy T
+// shorthand (pcm-mlc's params.t) into the backend and its normalized
+// operating point — the one way sortd and its cluster coordinator name a
+// memory model. t is the resolved pcm-mlc half-width (0 for other
+// backends), echoed in the API's legacy t column.
+func Resolve(name string, params map[string]float64, t float64) (Backend, Point, float64, error) {
+	b, err := Get(name)
+	if err != nil {
+		return nil, Point{}, 0, err
+	}
+	pt := Point{Backend: b.Name(), Params: params}
+	if t != 0 {
+		if b.Name() != PCMMLC {
+			return nil, Point{}, 0, fmt.Errorf("t applies only to the %s backend; parameterize %s via params",
+				PCMMLC, b.Name())
+		}
+		if _, dup := pt.Param("t"); dup {
+			return nil, Point{}, 0, fmt.Errorf("provide the half-width as t or params.t, not both")
+		}
+		merged := map[string]float64{"t": t}
+		for k, v := range pt.Params {
+			merged[k] = v
+		}
+		pt.Params = merged
+	}
+	pt, err = b.Normalize(pt)
+	if err != nil {
+		return nil, Point{}, 0, err
+	}
+	if b.Name() == PCMMLC {
+		t, _ = pt.Param("t")
+	}
+	return b, pt, t, nil
 }
 
 // MustGet is Get for names known at compile time; it panics on unknown

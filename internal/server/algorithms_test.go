@@ -120,10 +120,8 @@ func TestSortAutoSelectsAlgorithm(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := SortRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 11},
-		T:       0.055,
-		Seed:    42,
+	req := JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 11}, T: 0.055, Seed: 42},
 	}
 	run := func() *JobResult {
 		resp := postJSON(t, ts.URL+"/v1/sort?wait=1", req)
@@ -173,10 +171,8 @@ func TestAutoMatchesExplicitRun(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	base := SortRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 11},
-		T:       0.055,
-		Seed:    42,
+	base := JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 11}, T: 0.055, Seed: 42},
 	}
 	autoReq := base
 	autoRes := decodeJob(t, postJSON(t, ts.URL+"/v1/sort?wait=1", autoReq)).Result

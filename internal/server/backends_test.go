@@ -72,12 +72,9 @@ func TestSortSpintronicEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-		Keys:       []uint32{5, 3, 1, 4, 2},
-		Backend:    "spintronic",
-		Params:     map[string]float64{"saving": 0.33, "bit_error_prob": 1e-5},
-		Mode:       ModeHybrid,
-		ReturnKeys: true,
+	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+		Inline: Inline{Keys: []uint32{5, 3, 1, 4, 2}, ReturnKeys: true},
+		Common: Common{Backend: "spintronic", Params: map[string]float64{"saving": 0.33, "bit_error_prob": 1e-5}, Mode: ModeHybrid},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)

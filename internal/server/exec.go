@@ -13,13 +13,14 @@ import (
 	"approxsort/internal/verify"
 )
 
-// execute runs one normalized request to completion. pilotSize tunes the
-// planner sample (0 = planner default). The request's Seed is split by the
-// job's coordinates — the algorithm name plus the backend point's
-// seed-bearing parameters — never by arrival order, so resubmitting the
-// same request — on any worker, at any concurrency — reproduces the same
-// numbers (the serving-side analogue of the sweep determinism contract).
-func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
+// execute runs one validated in-memory job to completion. pilotSize
+// tunes the planner sample (0 = planner default). The spec's Seed is
+// split by the job's coordinates — the algorithm name plus the backend
+// point's seed-bearing parameters — never by arrival order, so
+// resubmitting the same request — on any worker, at any concurrency —
+// reproduces the same numbers (the serving-side analogue of the sweep
+// determinism contract).
+func execute(req *JobSpec, pilotSize int) (*JobResult, error) {
 	keys := req.Keys
 	if req.Dataset != nil {
 		var err error
@@ -28,16 +29,7 @@ func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
 			return nil, err
 		}
 	}
-	var alg sorts.Algorithm
-	if !req.autoAlgorithm() {
-		var err error
-		alg, err = req.algorithm()
-		if err != nil {
-			return nil, err
-		}
-	}
 	b, pt := req.backend, req.point
-
 	res := &JobResult{
 		Backend: b.Name(),
 		Params:  pt.Params,
@@ -45,79 +37,54 @@ func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
 		T:       req.T,
 	}
 
-	// seedParts keys a sub-stream by purpose + job coordinates. For
-	// pcm-mlc the coordinates are [t], reproducing the pre-seam
-	// derivation bit-for-bit. alg is captured by reference: the run
-	// stream of an auto job that selected, say, msd is the run stream of
-	// an explicit msd job — resubmitting with the choice pinned
-	// reproduces the same numbers.
+	// seed keys a sub-stream by purpose + algorithm label + job
+	// coordinates. For pcm-mlc the coordinates are [t], reproducing the
+	// pre-seam derivation bit-for-bit. The run stream of an auto job that
+	// selected, say, msd is the run stream of an explicit msd job, so
+	// resubmitting with the choice pinned reproduces the same numbers.
 	coords := b.SeedCoords(pt)
-	seedParts := func(kind string, extra ...any) []any {
-		parts := make([]any, 0, 3+len(coords)+len(extra))
-		parts = append(parts, "sortd", kind, alg.Name())
-		parts = append(parts, coords...)
-		return append(parts, extra...)
+	seed := func(kind, label string, extra ...any) uint64 {
+		parts := append([]any{"sortd", kind, label}, coords...)
+		return rng.Split(req.Seed, append(parts, extra...)...)
 	}
-	newSpace := func(s uint64) core.Space { return b.NewApprox(pt, s) }
 
-	mode := req.Mode
-	switch {
-	case req.autoAlgorithm():
-		// Registry-driven selection: one Equation 4 pilot per registered
-		// candidate at its default digit width, cheapest predicted writes
-		// wins. No single algorithm owns the pilot stream, so it is keyed
-		// by the literal roster label instead of an algorithm name.
-		autoParts := append([]any{"sortd", "pilot", "auto"}, coords...)
+	// One planner call serves both decisions: which algorithm (the auto
+	// roster; one Equation 4 pilot per candidate, cheapest predicted
+	// writes wins) and which mode (mode auto). No single algorithm owns
+	// an auto job's pilot stream, so it is keyed by the roster label.
+	cands := req.candidates(KindSort)
+	alg, mode := cands[0].Alg, req.Mode
+	if req.Algorithm == "auto" || mode == ModeAuto {
+		label := alg.Name()
+		if req.Algorithm == "auto" {
+			label = "auto"
+		}
 		plan, err := core.Planner{
-			Config:    core.Config{NewSpace: newSpace, Seed: rng.Split(req.Seed, autoParts...)},
+			Config:    core.Config{NewSpace: func(s uint64) core.Space { return b.NewApprox(pt, s) }, Seed: seed("pilot", label)},
 			PilotSize: pilotSize,
-		}.PlanAuto(keys, sorts.AutoCandidates())
-		if err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
+		}.Plan(keys, core.InMemory{}, cands)
+		if err == nil {
+			err = verify.CheckPlan(len(keys), plan).Err()
 		}
-		if err := verify.CheckPlan(len(keys), plan).Err(); err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
+		if err == nil && plan.Algorithm != "" {
+			alg, err = sorts.New(plan.Algorithm, 0)
 		}
-		alg, err = sorts.New(plan.Algorithm, 0)
 		if err != nil {
 			return nil, fmt.Errorf("planner: %w", err)
 		}
 		res.Plan = planView(plan)
 		res.PredictedWR = plan.PredictedWR
 		if mode == ModeAuto {
+			mode = ModePrecise
 			if plan.UseHybrid {
 				mode = ModeHybrid
-			} else {
-				mode = ModePrecise
 			}
-		}
-	case mode == ModeAuto:
-		plan, err := core.Planner{
-			Config: core.Config{
-				Algorithm: alg,
-				NewSpace:  newSpace,
-				Seed:      rng.Split(req.Seed, seedParts("pilot")...),
-			},
-			PilotSize: pilotSize,
-		}.Plan(keys)
-		if err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
-		}
-		if err := verify.CheckPlan(len(keys), plan).Err(); err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
-		}
-		res.Plan = planView(plan)
-		res.PredictedWR = plan.PredictedWR
-		if plan.UseHybrid {
-			mode = ModeHybrid
-		} else {
-			mode = ModePrecise
 		}
 	}
 	res.Algorithm = alg.Name()
 	res.Mode = mode
 
-	runSeed := rng.Split(req.Seed, seedParts("run", len(keys))...)
+	runSeed := seed("run", alg.Name(), len(keys))
 	var err error
 	if mode == ModeHybrid {
 		err = executeHybrid(res, keys, alg, req, runSeed)
@@ -132,8 +99,8 @@ func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
 }
 
 // planView projects a core plan into the response shape. Algorithm is
-// empty (and omitted from the JSON) for explicit-algorithm jobs, where
-// the planner only picked the mode.
+// empty (and omitted from the JSON) for explicit-algorithm jobs, whose
+// one-element roster left the planner only the mode to pick.
 func planView(plan core.Plan) *PlanView {
 	return &PlanView{
 		Algorithm:     plan.Algorithm,
@@ -150,7 +117,7 @@ func planView(plan core.Plan) *PlanView {
 // Table 1 memory system, plus the precise-only baseline for the measured
 // write reduction. The approximate region's device clock charges the
 // backend's modelled mean write latency.
-func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
+func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *JobSpec, seed uint64) error {
 	b, pt := req.backend, req.point
 	sys := hybrid.New()
 	out, err := core.Run(keys, core.Config{
@@ -199,7 +166,7 @@ func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *Sort
 // executePrecise runs the traditional sort — keys and IDs both precise —
 // through its own memory system. It is the baseline, so ActualWR is 0 by
 // construction and Baseline mirrors the run itself.
-func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
+func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, req *JobSpec, seed uint64) error {
 	n := len(keys)
 	sys := hybrid.New()
 	space := mem.NewPreciseSpace()

@@ -7,36 +7,71 @@ import (
 
 	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
+	"approxsort/internal/extsort"
 	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
 
-// SortRequest is the body of POST /v1/sort. Exactly one of Keys or Dataset
-// supplies the input.
-type SortRequest struct {
+// JobSpec is the one request shape of the three sort routes. Its field
+// groups say which route reads what: Inline only POST /v1/sort, Common
+// every route, External the out-of-core routes (/v1/sort/stream and
+// /v1/sort/sharded), Fleet only /v1/sort/sharded. A JSON body may set
+// only its route's fields; any other field is the decoder's unknown-field
+// 400, as for a field no route knows. The out-of-core routes also take
+// the keys as a raw little-endian uint32 body (Content-Type
+// application/octet-stream), the route's other fields then riding in the
+// query string under their JSON names (cluster.DecodeQuery), with a
+// params map as params.<name>=<value> keys.
+type JobSpec struct {
+	Inline
+	Common
+	External
+	Fleet
+
+	// backend and point are the registry resolution of Backend/Params/T,
+	// filled by validate. Unexported: execution state, not API surface.
+	backend memmodel.Backend
+	point   memmodel.Point
+}
+
+// Inline is the in-memory route's input and output: exactly one of Keys
+// or Common.Dataset supplies the input.
+type Inline struct {
 	// Keys is the inline input array.
 	Keys []uint32 `json:"keys,omitempty"`
+	// ReturnKeys asks for the sorted key array in the response. Refused
+	// above maxReturnKeys to keep job records small.
+	ReturnKeys bool `json:"return_keys,omitempty"`
+}
+
+// Common holds the fields every sort route reads.
+type Common struct {
 	// Dataset generates the input server-side from a spec, so load tests
-	// don't pay to ship megabytes of keys over the wire.
+	// don't pay to ship megabytes of keys over the wire. The out-of-core
+	// routes generate it as a stream (no materialized array), so
+	// nearlysorted, which needs the whole array, is rejected there.
 	Dataset *DatasetSpec `json:"dataset,omitempty"`
 
 	// Algorithm selects the sort by its registry name (GET /v1/algorithms
 	// lists them: quicksort, mergesort, lsd, msd, onesweep-lsd, …).
-	// "auto" (the default) lets the planner pick per backend and input:
-	// in-memory jobs run one Equation 4 pilot per registered candidate and
-	// keep the cheapest; streaming jobs resolve to the paper's default
-	// (6-bit MSD, the Figure 9 winner). Bits sets the radix digit width;
-	// 0 takes the algorithm's registry default (6 for lsd/msd, 8 for
-	// onesweep-lsd).
+	// "auto" (the default) names a candidate roster the planner picks
+	// from per backend and input: in-memory jobs pilot every registered
+	// auto candidate (sorts.AutoCandidates) and keep the cheapest;
+	// streaming and sharded jobs have the one-element roster
+	// sorts.StreamCandidates, 6-bit MSD (the paper's Figure 9 winner).
+	// Bits sets the radix digit width; 0 takes the algorithm's registry
+	// default (6 for lsd/msd, 8 for onesweep-lsd).
 	Algorithm string `json:"algorithm,omitempty"`
 	Bits      int    `json:"bits,omitempty"`
 
 	// Mode picks the execution path: "hybrid" forces approx-refine,
 	// "precise" forces the traditional sort, and "auto" (default) runs
-	// core.Planner's pilot and routes per Equation 4. Note the planner
-	// routes on write latency; backends that save energy at full latency
-	// (spintronic) always route precise under auto, so energy-motivated
-	// jobs on such backends should force "hybrid".
+	// core.Planner's pilot and routes per Equation 4 — out of core, the
+	// (M, B, ω) geometry also picks run size, fan-in and whether to defer
+	// refine step 3 into the merge. Note the planner routes on write
+	// latency; backends that save energy at full latency (spintronic)
+	// always route precise under auto, so energy-motivated jobs on such
+	// backends should force "hybrid".
 	Mode string `json:"mode,omitempty"`
 
 	// Backend names the approximate-memory device model from the
@@ -56,15 +91,59 @@ type SortRequest struct {
 	// Seed drives the run's noise and pivot streams. The planner pilot
 	// and execution derive sub-streams from it via rng.Split.
 	Seed uint64 `json:"seed,omitempty"`
+}
 
-	// ReturnKeys asks for the sorted key array in the response. Refused
-	// above maxReturnKeys to keep job records small.
-	ReturnKeys bool `json:"return_keys,omitempty"`
+// External holds the out-of-core routes' geometry and disk quota.
+type External struct {
+	// RunSize is the in-memory run budget M in records (default 1M);
+	// FanIn the merge width cap (default 16). Under mode auto these act
+	// as the planner's M and fan-in ceiling.
+	RunSize int `json:"run_size,omitempty"`
+	FanIn   int `json:"fan_in,omitempty"`
+	// Formation picks run formation: replacement (default) or chunk.
+	Formation string `json:"formation,omitempty"`
+	// RefineAtMerge defers each run's refine merge into the k-way merge.
+	RefineAtMerge bool `json:"refine_at_merge,omitempty"`
+	// MaxDiskBytes lowers the per-job disk quota below the server cap.
+	MaxDiskBytes int64 `json:"max_disk_bytes,omitempty"`
+}
 
-	// backend and point are the registry resolution of Backend/Params/T,
-	// filled by normalize. Unexported: execution state, not API surface.
-	backend memmodel.Backend
-	point   memmodel.Point
+// Fleet holds the sharded route's fan-out controls.
+type Fleet struct {
+	// Tenant is the placement identity: jobs from one tenant land on a
+	// stable shard preference list on the consistent-hash ring, and the
+	// per-tenant inflight quota is enforced under it. Empty is the
+	// "default" tenant.
+	Tenant string `json:"tenant,omitempty"`
+	// MaxShards caps the fan-out below the fleet size (0 = whole fleet);
+	// the coordinator's (M, B, ω, S) planner picks the actual count.
+	MaxShards int `json:"max_shards,omitempty"`
+	// WarmTables relays shard 0's calibrated MLC table to the rest of
+	// the fleet before submitting (pcm-mlc only, best-effort).
+	WarmTables bool `json:"warm_tables,omitempty"`
+}
+
+// fields returns the view of the spec a route decodes into: only the
+// groups the route reads.
+func (r *JobSpec) fields(kind string) any {
+	switch kind {
+	case KindSort:
+		return &struct {
+			*Inline
+			*Common
+		}{&r.Inline, &r.Common}
+	case KindStream:
+		return &struct {
+			*Common
+			*External
+		}{&r.Common, &r.External}
+	default:
+		return &struct {
+			*Common
+			*External
+			*Fleet
+		}{&r.Common, &r.External, &r.Fleet}
+	}
 }
 
 // maxReturnKeys bounds the sorted payload a job is willing to echo back.
@@ -137,27 +216,48 @@ func (d *DatasetSpec) materialize() ([]uint32, error) {
 	}
 }
 
-// normalize validates the request and applies defaults in place. maxN
-// bounds the input size the server will accept.
-func (r *SortRequest) normalize(maxN int) error {
-	if (len(r.Keys) > 0) == (r.Dataset != nil) {
-		return fmt.Errorf("provide exactly one of keys or dataset")
-	}
-	n := len(r.Keys)
-	if r.Dataset != nil {
-		if err := r.Dataset.validate(); err != nil {
-			return err
+// validate checks the spec against its route (a Job kind) and applies
+// defaults in place. upload reports an octet-stream key body; cfg bounds
+// input sizes and disk quotas.
+func (r *JobSpec) validate(kind string, cfg Config, upload bool) error {
+	if kind == KindSort {
+		if (len(r.Keys) > 0) == (r.Dataset != nil) {
+			return fmt.Errorf("provide exactly one of keys or dataset")
 		}
-		n = r.Dataset.N
-	}
-	if n <= 0 {
-		return fmt.Errorf("input must have at least one key")
-	}
-	if n > maxN {
-		return fmt.Errorf("input size %d exceeds the server limit %d", n, maxN)
-	}
-	if r.ReturnKeys && n > maxReturnKeys {
-		return fmt.Errorf("return_keys allowed only up to %d keys, got %d", maxReturnKeys, n)
+		n := len(r.Keys)
+		if r.Dataset != nil {
+			if err := r.Dataset.validate(); err != nil {
+				return err
+			}
+			n = r.Dataset.N
+		}
+		if n <= 0 {
+			return fmt.Errorf("input must have at least one key")
+		}
+		if n > cfg.MaxN {
+			return fmt.Errorf("input size %d exceeds the server limit %d", n, cfg.MaxN)
+		}
+		if r.ReturnKeys && n > maxReturnKeys {
+			return fmt.Errorf("return_keys allowed only up to %d keys, got %d", maxReturnKeys, n)
+		}
+	} else {
+		if upload == (r.Dataset != nil) {
+			return fmt.Errorf("provide the key stream as the request body or a dataset spec, not both")
+		}
+		if d := r.Dataset; d != nil {
+			if err := d.validate(); err != nil {
+				return err
+			}
+			if d.Kind == "nearlysorted" {
+				return fmt.Errorf("dataset kind nearlysorted is not streamable")
+			}
+			if d.N <= 0 {
+				return fmt.Errorf("dataset must have at least one key")
+			}
+			if b := 4 * int64(d.N); b > cfg.MaxStreamBytes {
+				return fmt.Errorf("dataset stream of %d bytes exceeds the server quota %d", b, cfg.MaxStreamBytes)
+			}
+		}
 	}
 	switch r.Mode {
 	case "":
@@ -166,82 +266,58 @@ func (r *SortRequest) normalize(maxN int) error {
 	default:
 		return fmt.Errorf("unknown mode %q (want auto, hybrid or precise)", r.Mode)
 	}
+	if kind != KindSort {
+		switch r.Formation {
+		case "":
+			r.Formation = extsort.FormationReplacement
+		case extsort.FormationReplacement, extsort.FormationChunk:
+		default:
+			return fmt.Errorf("unknown formation %q (want replacement or chunk)", r.Formation)
+		}
+		if r.RunSize < 0 || r.FanIn < 0 || r.MaxDiskBytes < 0 {
+			return fmt.Errorf("run_size, fan_in and max_disk_bytes must be non-negative")
+		}
+		if r.FanIn == 1 {
+			return fmt.Errorf("fan_in = 1 cannot merge")
+		}
+		if r.MaxDiskBytes == 0 || r.MaxDiskBytes > cfg.MaxStreamBytes {
+			r.MaxDiskBytes = cfg.MaxStreamBytes
+		}
+	}
 	if r.Algorithm == "" {
 		r.Algorithm = "auto"
 	}
 	if r.Bits != 0 && (r.Bits < 1 || r.Bits > 16) {
 		return fmt.Errorf("bits = %d out of range [1, 16]", r.Bits)
 	}
-	if _, err := r.algorithm(); err != nil {
+	if _, err := sorts.Select(r.Algorithm, r.Bits, nil); err != nil {
 		return err // *sorts.UnknownAlgorithmError → 400 with the roster
 	}
-	b, pt, t, err := resolveBackendPoint(r.Backend, r.Params, r.T)
+	b, pt, t, err := memmodel.Resolve(r.Backend, r.Params, r.T)
 	if err != nil {
 		return err // *memmodel.UnknownBackendError → 400
 	}
 	r.Backend, r.backend, r.point, r.T = b.Name(), b, pt, t
+	if kind == KindSharded {
+		if r.MaxShards < 0 {
+			return fmt.Errorf("max_shards must be non-negative")
+		}
+		if r.Tenant == "" {
+			r.Tenant = "default"
+		}
+	}
 	return nil
 }
 
-// resolveBackendPoint resolves a request's backend name, parameter map
-// and legacy T shorthand against the memmodel registry, returning the
-// normalized operating point and the resolved half-width to echo (0 for
-// non-pcm-mlc backends). Shared by the in-memory and streaming request
-// paths.
-func resolveBackendPoint(name string, params map[string]float64, t float64) (memmodel.Backend, memmodel.Point, float64, error) {
-	b, err := memmodel.Get(name)
-	if err != nil {
-		return nil, memmodel.Point{}, 0, err // *memmodel.UnknownBackendError → 400
+// candidates is the spec's algorithm roster: its named algorithm alone,
+// or for "auto" the route's auto roster.
+func (r *JobSpec) candidates(kind string) []sorts.Candidate {
+	auto := sorts.StreamCandidates(r.Bits)
+	if kind == KindSort {
+		auto = sorts.AutoCandidates()
 	}
-	pt := memmodel.Point{Backend: b.Name(), Params: params}
-	if t != 0 {
-		if b.Name() != memmodel.PCMMLC {
-			return nil, memmodel.Point{}, 0, fmt.Errorf("t applies only to the %s backend; parameterize %s via params",
-				memmodel.PCMMLC, b.Name())
-		}
-		if _, dup := pt.Param("t"); dup {
-			return nil, memmodel.Point{}, 0, fmt.Errorf("provide the half-width as t or params.t, not both")
-		}
-		merged := map[string]float64{"t": t}
-		for k, v := range pt.Params {
-			merged[k] = v
-		}
-		pt.Params = merged
-	}
-	pt, err = b.Normalize(pt)
-	if err != nil {
-		return nil, memmodel.Point{}, 0, err
-	}
-	if b.Name() == memmodel.PCMMLC {
-		t, _ = pt.Param("t") // echo the resolved half-width in the legacy column
-	}
-	return b, pt, t, nil
-}
-
-// autoAlgorithm reports whether the request delegates the algorithm
-// choice to the auto planner.
-func (r *SortRequest) autoAlgorithm() bool { return r.Algorithm == "auto" || r.Algorithm == "" }
-
-// algorithm resolves the request's algorithm through the sorts registry.
-// "auto" resolves to the paper's default (6-bit MSD, the Figure 9
-// winner) — the fallback every pre-registry job ran; the in-memory
-// executor overrides it with the auto planner's registry-driven choice.
-// Unknown names return *sorts.UnknownAlgorithmError, whose message
-// carries the registered roster.
-func (r *SortRequest) algorithm() (sorts.Algorithm, error) {
-	name := r.Algorithm
-	if r.autoAlgorithm() {
-		name = "msd"
-	}
-	return sorts.New(name, r.Bits)
-}
-
-// inputSize returns the job's n.
-func (r *SortRequest) inputSize() int {
-	if r.Dataset != nil {
-		return r.Dataset.N
-	}
-	return len(r.Keys)
+	cands, _ := sorts.Select(r.Algorithm, r.Bits, auto) // validated at admission
+	return cands
 }
 
 // Job states.
@@ -346,24 +422,17 @@ type JobResult struct {
 // sanitize clamps non-finite floats so the result is always JSON-encodable
 // (encoding/json rejects NaN and ±Inf).
 func (r *JobResult) sanitize() {
-	for _, f := range []*float64{&r.PredictedWR, &r.ActualWR, &r.WriteNanos, &r.PCMNanos} {
+	fs := []*float64{&r.PredictedWR, &r.ActualWR, &r.WriteNanos, &r.PCMNanos}
+	if r.Plan != nil {
+		fs = append(fs, &r.Plan.PredictedWR, &r.Plan.P, &r.Plan.PilotRemRatio)
+	}
+	for _, f := range fs {
 		if math.IsNaN(*f) {
 			*f = 0
 		} else if math.IsInf(*f, 1) {
 			*f = math.MaxFloat64
 		} else if math.IsInf(*f, -1) {
 			*f = -math.MaxFloat64
-		}
-	}
-	if r.Plan != nil {
-		for _, f := range []*float64{&r.Plan.PredictedWR, &r.Plan.P, &r.Plan.PilotRemRatio} {
-			if math.IsNaN(*f) {
-				*f = 0
-			} else if math.IsInf(*f, 1) {
-				*f = math.MaxFloat64
-			} else if math.IsInf(*f, -1) {
-				*f = -math.MaxFloat64
-			}
 		}
 	}
 }
@@ -395,15 +464,11 @@ type Job struct {
 	StartedAt  time.Time `json:"started_at,omitempty"`
 	FinishedAt time.Time `json:"finished_at,omitempty"`
 
-	// done closes when the job reaches a terminal state; req (in-memory),
-	// stream (streaming) or sharded (multi-node) carries the work; dir is
-	// the job's on-disk state, records its input count, tenant its
-	// sharded-quota identity. Unexported: none serialize.
+	// done closes when the job reaches a terminal state; spec carries the
+	// work; dir is a streaming or sharded job's on-disk state and records
+	// its input count. Unexported: none serialize.
 	done    chan struct{}
-	req     *SortRequest
-	stream  *StreamRequest
-	sharded *ShardedRequest
-	tenant  string
+	spec    *JobSpec
 	dir     string
 	records int64
 }

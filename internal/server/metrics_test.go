@@ -99,11 +99,8 @@ func TestTableCacheSharedAcrossJobs(t *testing.T) {
 
 	const T = 0.09
 	run := func() {
-		resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-			Dataset:   &DatasetSpec{Kind: "uniform", N: 20000, Seed: 5},
-			Algorithm: "msd",
-			T:         T,
-			Mode:      ModeHybrid,
+		resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+			Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 5}, Algorithm: "msd", T: T, Mode: ModeHybrid},
 		})
 		job := decodeJob(t, resp)
 		if job.Status != StatusDone {
@@ -156,8 +153,9 @@ func TestServerMetricsSurface(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-			Keys: []uint32{3, 1, 2}, Algorithm: "quicksort", Mode: ModePrecise,
+		resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+			Inline: Inline{Keys: []uint32{3, 1, 2}},
+			Common: Common{Algorithm: "quicksort", Mode: ModePrecise},
 		})
 		resp.Body.Close()
 	}

@@ -27,10 +27,14 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"approxsort/internal/cluster"
+	"approxsort/internal/extsort"
 	"approxsort/internal/mlc"
 	"approxsort/internal/parallel"
 )
@@ -205,9 +209,9 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sort", s.handleSort)
-	mux.HandleFunc("POST /v1/sort/stream", s.handleSortStream)
-	mux.HandleFunc("POST /v1/sort/sharded", s.handleSortSharded)
+	mux.HandleFunc("POST /v1/sort", s.handleSubmit(KindSort))
+	mux.HandleFunc("POST /v1/sort/stream", s.handleSubmit(KindStream))
+	mux.HandleFunc("POST /v1/sort/sharded", s.handleSubmit(KindSharded))
 	mux.HandleFunc("GET /v1/tables", s.handleTablesGet)
 	mux.HandleFunc("POST /v1/tables", s.handleTablesPost)
 	mux.HandleFunc("GET /v1/backends", s.handleBackends)
@@ -255,69 +259,154 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, code int, v any)
 	_ = enc.Encode(v)
 }
 
-func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sort"
-	if s.draining.Load() {
-		s.writeJSON(w, route, http.StatusServiceUnavailable, apiError{Error: "draining"})
-		return
+// handleSubmit is the admission path of the sort route for a job kind:
+// decode and validate the JobSpec, spool an upload, claim a sharded
+// tenant slot, then record and enqueue the job. A full queue is 429;
+// ?wait blocks until the job is terminal.
+func (s *Server) handleSubmit(kind string) http.HandlerFunc {
+	route := "/v1/sort"
+	if kind != KindSort {
+		route += "/" + kind
 	}
-	var req SortRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		code := http.StatusBadRequest
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
+	return func(w http.ResponseWriter, r *http.Request) {
+		if kind == KindSharded && len(s.cfg.ShardNodes) == 0 {
+			s.writeJSON(w, route, http.StatusNotImplemented,
+				apiError{Error: "no shard fleet configured (start sortd with -shards)"})
+			return
 		}
-		s.writeJSON(w, route, code, apiError{Error: "bad request: " + err.Error()})
-		return
-	}
-	if err := req.normalize(s.cfg.MaxN); err != nil {
-		s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
+		if s.draining.Load() {
+			s.writeJSON(w, route, http.StatusServiceUnavailable, apiError{Error: "draining"})
+			return
+		}
+		spec := &JobSpec{}
+		// The out-of-core routes take the keys as a raw body, parameters
+		// in the query. Anything else is the JSON form — defaulting to
+		// JSON means a curl -d without an explicit Content-Type fails
+		// loudly on decode instead of sorting the JSON text as key bytes.
+		upload := kind != KindSort && strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
+		if upload {
+			if err := cluster.DecodeQuery(r.URL.Query(), spec.fields(kind)); err != nil {
+				s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
+				return
+			}
+		} else {
+			dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(spec.fields(kind)); err != nil {
+				var tooLarge *http.MaxBytesError
+				code := http.StatusBadRequest
+				if errors.As(err, &tooLarge) {
+					code = http.StatusRequestEntityTooLarge
+				}
+				s.writeJSON(w, route, code, apiError{Error: "bad request: " + err.Error()})
+				return
+			}
+		}
+		if err := spec.validate(kind, s.cfg, upload); err != nil {
+			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
+			return
+		}
 
-	job := &Job{
-		Status:     StatusQueued,
-		Algorithm:  req.Algorithm,
-		Mode:       req.Mode,
-		Backend:    req.Backend,
-		N:          req.inputSize(),
-		T:          req.T,
-		EnqueuedAt: time.Now().UTC(), //nolint:detrand // wall-clock by design: job timestamps are service metadata, not simulated results
-		done:       make(chan struct{}),
-		req:        &req,
-	}
-	s.mu.Lock()
-	s.seq++
-	job.ID = fmt.Sprintf("job-%08d", s.seq)
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
+		job := &Job{
+			Status:     StatusQueued,
+			Kind:       kind,
+			Algorithm:  spec.Algorithm,
+			Mode:       spec.Mode,
+			Backend:    spec.Backend,
+			T:          spec.T,
+			EnqueuedAt: time.Now().UTC(), //nolint:detrand // wall-clock by design: job timestamps are service metadata, not simulated results
+			done:       make(chan struct{}),
+			spec:       spec,
+		}
+		// Per-tenant backpressure: the coordinator fans one job across the
+		// whole fleet, so a tenant's concurrent sharded jobs are capped
+		// before the queue, and the shards' own 429s propagate back
+		// through the coordinator's submit retries.
+		if kind == KindSharded && !s.acquireTenant(spec.Tenant) {
+			s.tenantRejects.Inc()
+			w.Header().Set("Retry-After", "1")
+			s.writeJSON(w, route, http.StatusTooManyRequests,
+				apiError{Error: fmt.Sprintf("tenant %s has %d sharded sorts inflight, retry later",
+					spec.Tenant, s.cfg.TenantMaxInflight)})
+			return
+		}
+		reject := func(code int, msg string) {
+			if job.dir != "" {
+				os.RemoveAll(job.dir)
+			}
+			if kind == KindSharded {
+				s.releaseTenant(spec.Tenant)
+			}
+			s.writeJSON(w, route, code, apiError{Error: msg})
+		}
+		if kind == KindSort {
+			job.N = len(spec.Keys)
+			if spec.Dataset != nil {
+				job.N = spec.Dataset.N
+			}
+		} else {
+			dir, err := os.MkdirTemp(s.cfg.StreamDir, "sortd-"+kind+"-")
+			if err != nil {
+				reject(http.StatusInternalServerError, "job dir: "+err.Error())
+				return
+			}
+			job.dir = dir
+			if upload {
+				// Spool the upload before enqueueing: the body dies with
+				// this handler, the job may run much later. The spool
+				// counts against the job's quota like any other spill.
+				bytes, err := spoolInput(filepath.Join(dir, "input.raw"),
+					http.MaxBytesReader(w, r.Body, spec.MaxDiskBytes+1), spec.MaxDiskBytes)
+				if err != nil {
+					code := http.StatusBadRequest
+					if errors.Is(err, extsort.ErrDiskQuota) {
+						code = http.StatusRequestEntityTooLarge
+					}
+					reject(code, err.Error())
+					return
+				}
+				if bytes == 0 {
+					reject(http.StatusBadRequest, "input must have at least one key")
+					return
+				}
+				job.records = bytes / 4
+			} else {
+				job.records = int64(spec.Dataset.N)
+			}
+			if job.records <= int64(^uint(0)>>1) {
+				job.N = int(job.records)
+			}
+		}
 
-	if !s.pool.TrySubmit(func() { s.runJob(job) }) {
 		s.mu.Lock()
-		delete(s.jobs, job.ID)
+		s.seq++
+		job.ID = fmt.Sprintf("job-%08d", s.seq)
+		s.jobs[job.ID] = job
 		s.mu.Unlock()
-		s.queueRejects.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, route, http.StatusTooManyRequests,
-			apiError{Error: "queue full, retry later"})
-		return
-	}
 
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-job.done:
-			s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
-		case <-r.Context().Done():
-			// Client gave up; the job keeps running and remains pollable.
-			s.requests.With(route, "499").Inc()
+		if !s.pool.TrySubmit(func() { s.runJob(job) }) {
+			s.mu.Lock()
+			delete(s.jobs, job.ID)
+			s.mu.Unlock()
+			s.queueRejects.Inc()
+			w.Header().Set("Retry-After", "1")
+			reject(http.StatusTooManyRequests, "queue full, retry later")
+			return
 		}
-		return
+
+		if r.URL.Query().Get("wait") != "" {
+			select {
+			case <-job.done:
+				s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
+			case <-r.Context().Done():
+				// Client gave up; the job keeps running and remains pollable.
+				s.requests.With(route, "499").Inc()
+			}
+			return
+		}
+		w.Header().Set("Location", "/v1/jobs/"+job.ID)
+		s.writeJSON(w, route, http.StatusAccepted, s.snapshot(job))
 	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, route, http.StatusAccepted, s.snapshot(job))
 }
 
 // runJob executes one job on a pool worker.
@@ -340,7 +429,7 @@ func (s *Server) runJob(job *Job) {
 	case KindSharded:
 		res, err = s.executeSharded(job)
 	default:
-		res, err = execute(job.req, s.cfg.PilotSize)
+		res, err = execute(job.spec, s.cfg.PilotSize)
 	}
 
 	elapsed := time.Since(start) //nolint:detrand // wall-clock by design: feeds the latency histogram only
@@ -370,8 +459,8 @@ func (s *Server) runJob(job *Job) {
 	}
 
 	s.inflight.Add(-1)
-	if job.tenant != "" {
-		s.releaseTenant(job.tenant)
+	if job.Kind == KindSharded {
+		s.releaseTenant(job.spec.Tenant)
 	}
 	s.jobsTotal.With(job.Backend, job.Algorithm, mode, status).Inc()
 	s.jobLatency.With(job.Backend, job.Algorithm, mode).Observe(elapsed.Seconds())

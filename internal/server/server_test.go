@@ -43,10 +43,9 @@ func TestSortEndToEndAuto(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-		Keys:       []uint32{5, 3, 1, 4, 2},
-		Algorithm:  "auto",
-		ReturnKeys: true,
+	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+		Inline: Inline{Keys: []uint32{5, 3, 1, 4, 2}, ReturnKeys: true},
+		Common: Common{Algorithm: "auto"},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -93,12 +92,8 @@ func TestSortAutoRoutesHybridAtSweetSpot(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-		Dataset:   &DatasetSpec{Kind: "uniform", N: 300000, Seed: 7},
-		Algorithm: "msd",
-		Bits:      3,
-		T:         0.055,
-		Mode:      ModeAuto,
+	resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 300000, Seed: 7}, Algorithm: "msd", Bits: 3, T: 0.055, Mode: ModeAuto},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -136,7 +131,7 @@ func TestSortAsyncPolling(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{2, 1}})
+	resp := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{2, 1}}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d, want 202", resp.StatusCode)
 	}
@@ -221,19 +216,19 @@ func TestQueueFull429(t *testing.T) {
 
 	// Job 1 occupies the worker (wait until it is actually held), job 2
 	// fills the queue slot.
-	r1 := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{3, 1}})
+	r1 := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{3, 1}}})
 	r1.Body.Close()
 	if r1.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1 status = %d", r1.StatusCode)
 	}
 	<-started
-	r2 := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{3, 1}})
+	r2 := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{3, 1}}})
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2 status = %d", r2.StatusCode)
 	}
 
-	r3 := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{3, 1}})
+	r3 := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{3, 1}}})
 	defer r3.Body.Close()
 	if r3.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3 status = %d, want 429", r3.StatusCode)
@@ -265,10 +260,10 @@ func TestGracefulShutdown(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	inflight := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{2, 1}})
+	inflight := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{2, 1}}})
 	inflightJob := decodeJob(t, inflight)
 	<-started
-	queued := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{4, 3}})
+	queued := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{4, 3}}})
 	queuedJob := decodeJob(t, queued)
 
 	done := make(chan error, 1)
@@ -290,7 +285,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if hz.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz while draining = %d, want 503", hz.StatusCode)
 	}
-	refused := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{9, 8}})
+	refused := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{9, 8}}})
 	refused.Body.Close()
 	if refused.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("POST while draining = %d, want 503", refused.StatusCode)
@@ -329,7 +324,7 @@ func TestShutdownContextCancel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	r := postJSON(t, ts.URL+"/v1/sort", SortRequest{Keys: []uint32{2, 1}})
+	r := postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{2, 1}}})
 	r.Body.Close()
 	<-started
 
@@ -358,12 +353,8 @@ func TestConcurrentSorts(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{
-					Dataset:   &DatasetSpec{Kind: "uniform", N: 5000, Seed: uint64(c*100 + i)},
-					Algorithm: "msd",
-					T:         0.055,
-					Mode:      ModeAuto,
-					Seed:      uint64(c*1000 + i),
+				resp := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+					Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 5000, Seed: uint64(c*100 + i)}, Algorithm: "msd", T: 0.055, Mode: ModeAuto, Seed: uint64(c*1000 + i)},
 				})
 				job := decodeJob(t, resp)
 				if job.Status != StatusDone {
@@ -388,15 +379,11 @@ func TestConcurrentSorts(t *testing.T) {
 // different worker counts produces bit-identical accounting, because every
 // stream is derived from the request's coordinates.
 func TestDeterministicAcrossConcurrency(t *testing.T) {
-	req := func() *SortRequest {
-		r := &SortRequest{
-			Dataset:   &DatasetSpec{Kind: "uniform", N: 50000, Seed: 11},
-			Algorithm: "msd",
-			T:         0.08,
-			Mode:      ModeHybrid,
-			Seed:      99,
+	req := func() *JobSpec {
+		r := &JobSpec{
+			Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 50000, Seed: 11}, Algorithm: "msd", T: 0.08, Mode: ModeHybrid, Seed: 99},
 		}
-		if err := r.normalize(1 << 20); err != nil {
+		if err := r.validate(KindSort, Config{}.withDefaults(), false); err != nil {
 			t.Fatal(err)
 		}
 		return r
@@ -411,11 +398,10 @@ func TestDeterministicAcrossConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			other := &SortRequest{
-				Dataset: &DatasetSpec{Kind: "uniform", N: 10000, Seed: uint64(i)},
-				Mode:    ModePrecise, Algorithm: "quicksort", Seed: uint64(i),
+			other := &JobSpec{
+				Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 10000, Seed: uint64(i)}, Mode: ModePrecise, Algorithm: "quicksort", Seed: uint64(i)},
 			}
-			if err := other.normalize(1 << 20); err == nil {
+			if err := other.validate(KindSort, Config{}.withDefaults(), false); err == nil {
 				execute(other, 0) //nolint:errcheck // background noise only
 			}
 		}(i)

@@ -15,6 +15,7 @@ import (
 
 	"approxsort/internal/dataset"
 	"approxsort/internal/mlc"
+	"approxsort/internal/sorts"
 )
 
 // shardFleet starts n shard sortd instances plus one coordinator
@@ -96,14 +97,10 @@ func TestSortShardedEndToEnd(t *testing.T) {
 
 func TestSortShardedDatasetForm(t *testing.T) {
 	_, url := shardFleet(t, 2, Config{Workers: 2, QueueDepth: 8})
-	resp := postJSON(t, url+"/v1/sort/sharded?wait=1", ShardedRequest{
-		StreamRequest: StreamRequest{
-			Dataset: &DatasetSpec{Kind: "zipf", N: 40000, K: 4096, S: 1.2, Seed: 7},
-			RunSize: 6000,
-			T:       0.07,
-			Seed:    21,
-		},
-		MaxShards: 2,
+	resp := postJSON(t, url+"/v1/sort/sharded?wait=1", JobSpec{
+		Common:   Common{Dataset: &DatasetSpec{Kind: "zipf", N: 40000, K: 4096, S: 1.2, Seed: 7}, T: 0.07, Seed: 21},
+		External: External{RunSize: 6000},
+		Fleet:    Fleet{MaxShards: 2},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -295,9 +292,9 @@ func TestSortShardedBadRequests(t *testing.T) {
 		t.Errorf("bad json: status = %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, url+"/v1/sort/sharded", ShardedRequest{
-		StreamRequest: StreamRequest{Dataset: &DatasetSpec{Kind: "uniform", N: 100}, T: 0.07},
-		MaxShards:     -1,
+	resp = postJSON(t, url+"/v1/sort/sharded", JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 100}, T: 0.07},
+		Fleet:  Fleet{MaxShards: -1},
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -474,20 +471,33 @@ func TestJobResultSanitizeClampsNonFinite(t *testing.T) {
 	}
 }
 
+// TestSortRequestAlgorithmNames pins how a spec's algorithm field
+// resolves to a roster: a registry name is that algorithm alone on every
+// route; "auto" is the registry's auto roster in memory and 6-bit MSD out
+// of core; an unknown name fails validation.
 func TestSortRequestAlgorithmNames(t *testing.T) {
 	for name, want := range map[string]string{
-		"lsd": "6-bit LSD", "quicksort": "Quicksort", "mergesort": "Mergesort",
+		"lsd": "6-bit LSD", "quicksort": "Quicksort", "mergesort": "Mergesort", "onesweep-lsd": "6-bit OneSweep",
 	} {
-		alg, err := (&SortRequest{Algorithm: name, Bits: 6}).algorithm()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if alg.Name() != want {
-			t.Errorf("%s resolved to %s", name, alg.Name())
+		for _, kind := range []string{KindSort, KindStream, KindSharded} {
+			cands := (&JobSpec{Common: Common{Algorithm: name, Bits: 6}}).candidates(kind)
+			if len(cands) != 1 || cands[0].Alg.Name() != want {
+				t.Errorf("%s on %q resolved to %+v", name, kind, cands)
+			}
 		}
 	}
-	if _, err := (&SortRequest{Algorithm: "bogosort"}).algorithm(); err == nil {
-		t.Error("unknown algorithm resolved")
+	auto := &JobSpec{Common: Common{Algorithm: "auto"}}
+	if got, want := len(auto.candidates(KindSort)), len(sorts.AutoCandidates()); got != want {
+		t.Errorf("in-memory auto roster has %d candidates, want %d", got, want)
+	}
+	for _, kind := range []string{KindStream, KindSharded} {
+		if cands := auto.candidates(kind); len(cands) != 1 || cands[0].Alg.Name() != "6-bit MSD" {
+			t.Errorf("auto on %q resolved to %+v, want 6-bit MSD alone", kind, cands)
+		}
+	}
+	bad := &JobSpec{Inline: Inline{Keys: []uint32{1}}, Common: Common{Algorithm: "bogosort"}}
+	if err := bad.validate(KindSort, Config{}.withDefaults(), false); err == nil {
+		t.Error("unknown algorithm validated")
 	}
 }
 

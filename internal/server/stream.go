@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
-	"time"
 
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
@@ -19,176 +16,6 @@ import (
 	"approxsort/internal/rng"
 	"approxsort/internal/verify"
 )
-
-// StreamRequest parameterizes POST /v1/sort/stream. Two input forms:
-//
-//   - Content-Type: application/octet-stream — the body is the raw
-//     little-endian uint32 key stream, spooled to the job's directory
-//     (against its disk quota) before the job is enqueued; sort
-//     parameters arrive as query parameters.
-//   - any other Content-Type — this struct as a JSON body, with a
-//     Dataset spec generated server-side as a stream (no materialized
-//     array), so load tests can drive out-of-core sizes without shipping
-//     gigabytes.
-type StreamRequest struct {
-	// Dataset generates the input server-side (JSON form only). Must be
-	// a streamable kind: nearlysorted is rejected.
-	Dataset *DatasetSpec `json:"dataset,omitempty"`
-
-	// Algorithm/Bits/Mode/Backend/Params/T/Seed as in SortRequest. Mode
-	// auto consults the (M, B, ω) external planner: the pilot decides
-	// hybrid vs precise formation, run size, fan-in, and whether to
-	// defer refine step 3 into the merge.
-	Algorithm string             `json:"algorithm,omitempty"`
-	Bits      int                `json:"bits,omitempty"`
-	Mode      string             `json:"mode,omitempty"`
-	Backend   string             `json:"backend,omitempty"`
-	Params    map[string]float64 `json:"params,omitempty"`
-	T         float64            `json:"t,omitempty"`
-	Seed      uint64             `json:"seed,omitempty"`
-
-	// RunSize is the in-memory run budget M in records (default 1M);
-	// FanIn the merge width cap (default 16). Under mode auto these act
-	// as the planner's M and fan-in ceiling.
-	RunSize int `json:"run_size,omitempty"`
-	FanIn   int `json:"fan_in,omitempty"`
-	// Formation picks run formation: replacement (default) or chunk.
-	Formation string `json:"formation,omitempty"`
-	// RefineAtMerge defers each run's refine merge into the k-way merge.
-	RefineAtMerge bool `json:"refine_at_merge,omitempty"`
-	// MaxDiskBytes lowers the per-job disk quota below the server cap.
-	MaxDiskBytes int64 `json:"max_disk_bytes,omitempty"`
-
-	backend memmodel.Backend
-	point   memmodel.Point
-}
-
-// normalize validates and defaults the request in place. The server cap
-// bounds the per-job quota.
-func (r *StreamRequest) normalize(cfg Config, hasBody bool) error {
-	if hasBody == (r.Dataset != nil) {
-		return fmt.Errorf("provide the key stream as the request body or a dataset spec, not both")
-	}
-	if r.Dataset != nil {
-		if err := r.Dataset.validate(); err != nil {
-			return err
-		}
-		if r.Dataset.Kind == "nearlysorted" {
-			return fmt.Errorf("dataset kind nearlysorted is not streamable")
-		}
-		if r.Dataset.N <= 0 {
-			return fmt.Errorf("dataset must have at least one key")
-		}
-		if b := 4 * int64(r.Dataset.N); b > cfg.MaxStreamBytes {
-			return fmt.Errorf("dataset stream of %d bytes exceeds the server quota %d", b, cfg.MaxStreamBytes)
-		}
-	}
-	switch r.Mode {
-	case "":
-		r.Mode = ModeAuto
-	case ModeAuto, ModeHybrid, ModePrecise:
-	default:
-		return fmt.Errorf("unknown mode %q (want auto, hybrid or precise)", r.Mode)
-	}
-	switch r.Formation {
-	case "":
-		r.Formation = extsort.FormationReplacement
-	case extsort.FormationReplacement, extsort.FormationChunk:
-	default:
-		return fmt.Errorf("unknown formation %q (want replacement or chunk)", r.Formation)
-	}
-	if r.RunSize < 0 || r.FanIn < 0 || r.MaxDiskBytes < 0 {
-		return fmt.Errorf("run_size, fan_in and max_disk_bytes must be non-negative")
-	}
-	if r.FanIn == 1 {
-		return fmt.Errorf("fan_in = 1 cannot merge")
-	}
-	if r.MaxDiskBytes == 0 || r.MaxDiskBytes > cfg.MaxStreamBytes {
-		r.MaxDiskBytes = cfg.MaxStreamBytes
-	}
-	if r.Algorithm == "" {
-		r.Algorithm = "auto"
-	}
-	if r.Bits != 0 && (r.Bits < 1 || r.Bits > 16) {
-		return fmt.Errorf("bits = %d out of range [1, 16]", r.Bits)
-	}
-	if _, err := r.algorithm(); err != nil {
-		return err
-	}
-	b, pt, t, err := resolveBackendPoint(r.Backend, r.Params, r.T)
-	if err != nil {
-		return err
-	}
-	r.Backend, r.backend, r.point, r.T = b.Name(), b, pt, t
-	return nil
-}
-
-func (r *StreamRequest) algorithm() (alg interface {
-	Name() string
-}, err error) {
-	sr := SortRequest{Algorithm: r.Algorithm, Bits: r.Bits}
-	return sr.algorithm()
-}
-
-// streamQuery parses the octet-stream form's query parameters into a
-// StreamRequest.
-func streamQuery(q map[string][]string) (*StreamRequest, error) {
-	get := func(k string) string {
-		if v := q[k]; len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
-	req := &StreamRequest{
-		Algorithm: get("algorithm"),
-		Mode:      get("mode"),
-		Backend:   get("backend"),
-		Formation: get("formation"),
-	}
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{
-		{"bits", &req.Bits}, {"run_size", &req.RunSize}, {"fan_in", &req.FanIn},
-	} {
-		if s := get(f.key); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("bad %s: %v", f.key, err)
-			}
-			*f.dst = v
-		}
-	}
-	if s := get("t"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad t: %v", err)
-		}
-		req.T = v
-	}
-	if s := get("seed"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed: %v", err)
-		}
-		req.Seed = v
-	}
-	if s := get("max_disk_bytes"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad max_disk_bytes: %v", err)
-		}
-		req.MaxDiskBytes = v
-	}
-	if s := get("refine_at_merge"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return nil, fmt.Errorf("bad refine_at_merge: %v", err)
-		}
-		req.RefineAtMerge = v
-	}
-	return req, nil
-}
 
 // JobProgress is a streaming job's point-in-time progress, refreshed by
 // the worker as the sort advances and served in GET /v1/jobs/{id}.
@@ -228,122 +55,6 @@ type ExtsortView struct {
 	Plan *core.ExternalPlan `json:"plan,omitempty"`
 }
 
-func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sort/stream"
-	if s.draining.Load() {
-		s.writeJSON(w, route, http.StatusServiceUnavailable, apiError{Error: "draining"})
-		return
-	}
-	ct := r.Header.Get("Content-Type")
-	var req *StreamRequest
-	hasBody := false
-	if strings.HasPrefix(ct, "application/octet-stream") {
-		// Raw upload: the body is the keys, parameters ride in the query.
-		var err error
-		req, err = streamQuery(r.URL.Query())
-		if err != nil {
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-			return
-		}
-		hasBody = true
-	} else {
-		// Anything else is the JSON form — defaulting to JSON (like
-		// /v1/sort) means a curl -d without an explicit Content-Type
-		// fails loudly on decode instead of silently sorting the JSON
-		// text as key bytes.
-		req = &StreamRequest{}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: "bad request: " + err.Error()})
-			return
-		}
-	}
-	if err := req.normalize(s.cfg, hasBody); err != nil {
-		s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-
-	dir, err := os.MkdirTemp(s.cfg.StreamDir, "sortd-stream-")
-	if err != nil {
-		s.writeJSON(w, route, http.StatusInternalServerError, apiError{Error: "job dir: " + err.Error()})
-		return
-	}
-
-	n := 0
-	var inputRecords int64
-	if hasBody {
-		// Spool the upload before enqueueing: the body dies with this
-		// handler, the job may run much later. The spool counts against
-		// the job's quota like any other spill.
-		bytes, err := spoolInput(filepath.Join(dir, "input.raw"),
-			http.MaxBytesReader(w, r.Body, req.MaxDiskBytes+1), req.MaxDiskBytes)
-		if err != nil {
-			os.RemoveAll(dir)
-			code := http.StatusBadRequest
-			if errors.Is(err, extsort.ErrDiskQuota) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			s.writeJSON(w, route, code, apiError{Error: err.Error()})
-			return
-		}
-		if bytes == 0 {
-			os.RemoveAll(dir)
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: "input must have at least one key"})
-			return
-		}
-		inputRecords = bytes / 4
-	} else {
-		inputRecords = int64(req.Dataset.N)
-	}
-	if inputRecords <= int64(^uint(0)>>1) {
-		n = int(inputRecords)
-	}
-
-	job := &Job{
-		Status:     StatusQueued,
-		Kind:       KindStream,
-		Algorithm:  req.Algorithm,
-		Mode:       req.Mode,
-		Backend:    req.Backend,
-		N:          n,
-		T:          req.T,
-		EnqueuedAt: time.Now().UTC(), //nolint:detrand // wall-clock by design: job timestamps are service metadata
-		done:       make(chan struct{}),
-		stream:     req,
-		dir:        dir,
-		records:    inputRecords,
-	}
-	s.mu.Lock()
-	s.seq++
-	job.ID = fmt.Sprintf("job-%08d", s.seq)
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-
-	if !s.pool.TrySubmit(func() { s.runJob(job) }) {
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		s.mu.Unlock()
-		os.RemoveAll(dir)
-		s.queueRejects.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, route, http.StatusTooManyRequests, apiError{Error: "queue full, retry later"})
-		return
-	}
-
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-job.done:
-			s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
-		case <-r.Context().Done():
-			s.requests.With(route, "499").Inc()
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, route, http.StatusAccepted, s.snapshot(job))
-}
-
 // spoolInput copies the upload to path, enforcing word alignment and the
 // quota, and returns the byte count.
 func spoolInput(path string, body io.Reader, quota int64) (int64, error) {
@@ -374,32 +85,9 @@ func spoolInput(path string, body io.Reader, quota int64) (int64, error) {
 // (per-run Auditor, output StreamChecker, stats reconciliation) standing
 // between the sort and a done status.
 func (s *Server) executeStream(job *Job) (*JobResult, error) {
-	req := job.stream
-	sr := SortRequest{Algorithm: req.Algorithm, Bits: req.Bits}
-	alg, err := sr.algorithm()
-	if err != nil {
-		return nil, err
-	}
+	req := job.spec
+	alg := req.candidates(KindStream)[0].Alg
 	b, pt := req.backend, req.point
-
-	var src io.Reader
-	if req.Dataset != nil {
-		src, err = dataset.StreamSpec{
-			Kind: req.Dataset.Kind, N: req.Dataset.N, Seed: req.Dataset.Seed,
-			K: req.Dataset.K, S: req.Dataset.S,
-		}.Stream()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		f, err := os.Open(filepath.Join(job.dir, "input.raw"))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		src = f
-	}
-
 	coords := b.SeedCoords(pt)
 	seedParts := make([]any, 0, 4+len(coords))
 	seedParts = append(seedParts, "sortd", "stream", alg.Name())
@@ -433,35 +121,25 @@ func (s *Server) executeStream(job *Job) (*JobResult, error) {
 		},
 	}
 
-	outPath := filepath.Join(job.dir, "output.raw")
-	out, err := os.Create(outPath)
+	var stats extsort.Stats
+	err := s.sortToOutput(job, func(src io.Reader, out io.Writer) error {
+		sc := verify.NewStreamChecker(out)
+		var err error
+		if stats, err = extsort.SortStream(src, sc, cfg); err != nil {
+			return err
+		}
+		// The audit chain behind Verified: every run was checked by the
+		// Auditor at formation time; the output stream must be monotone
+		// and conserve the record count; the totals must reconcile
+		// per-run.
+		if err := sc.Finish(stats.Records); err != nil {
+			return err
+		}
+		return verify.CheckExtsortStats(stats).Err()
+	})
 	if err != nil {
 		return nil, err
 	}
-	qw := &quotaWriter{w: out, max: req.MaxDiskBytes}
-	sc := verify.NewStreamChecker(qw)
-	stats, err := extsort.SortStream(src, sc, cfg)
-	if err != nil {
-		out.Close()
-		return nil, err
-	}
-	if err := out.Close(); err != nil {
-		return nil, err
-	}
-	// The audit chain behind Verified: every run was checked by the
-	// Auditor at formation time; the output stream must be monotone and
-	// conserve the record count; the totals must reconcile per-run.
-	if err := sc.Finish(stats.Records); err != nil {
-		return nil, err
-	}
-	if err := verify.CheckExtsortStats(stats).Err(); err != nil {
-		return nil, err
-	}
-	os.Remove(filepath.Join(job.dir, "input.raw")) // reclaim the spool
-
-	s.mu.Lock()
-	job.OutputBytes = qw.n
-	s.mu.Unlock()
 
 	s.extsortRecords.Add(uint64(stats.Records))
 	s.extsortRuns.Add(uint64(stats.Runs))
@@ -505,6 +183,45 @@ func (s *Server) executeStream(job *Job) (*JobResult, error) {
 	}
 	res.sanitize()
 	return res, nil
+}
+
+// sortToOutput runs an out-of-core job's sort from its key stream — the
+// generated dataset, or the upload spooled at admission — into its
+// downloadable output file under the job's disk quota, then reclaims the
+// spool. sort must verify what it wrote before returning nil.
+func (s *Server) sortToOutput(job *Job, sort func(src io.Reader, out io.Writer) error) error {
+	spool := filepath.Join(job.dir, "input.raw")
+	var src io.Reader
+	if d := job.spec.Dataset; d != nil {
+		var err error
+		if src, err = (dataset.StreamSpec{Kind: d.Kind, N: d.N, Seed: d.Seed, K: d.K, S: d.S}).Stream(); err != nil {
+			return err
+		}
+	} else {
+		f, err := os.Open(spool)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		src = f
+	}
+	out, err := os.Create(filepath.Join(job.dir, "output.raw"))
+	if err != nil {
+		return err
+	}
+	qw := &quotaWriter{w: out, max: job.spec.MaxDiskBytes}
+	if err := sort(src, qw); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	os.Remove(spool)
+	s.mu.Lock()
+	job.OutputBytes = qw.n
+	s.mu.Unlock()
+	return nil
 }
 
 // quotaWriter enforces the job quota on the final output file, which the

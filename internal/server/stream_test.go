@@ -108,12 +108,9 @@ func TestSortStreamUploadEndToEnd(t *testing.T) {
 
 func TestSortStreamDatasetAuto(t *testing.T) {
 	s, ts := streamServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp := postJSON(t, ts.URL+"/v1/sort/stream?wait=1", StreamRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 60000, Seed: 3},
-		RunSize: 8000,
-		T:       0.07,
-		Seed:    11,
-		Mode:    ModeAuto,
+	resp := postJSON(t, ts.URL+"/v1/sort/stream?wait=1", JobSpec{
+		Common:   Common{Dataset: &DatasetSpec{Kind: "uniform", N: 60000, Seed: 3}, T: 0.07, Seed: 11, Mode: ModeAuto},
+		External: External{RunSize: 8000},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -166,8 +163,8 @@ func TestSortStreamValidation(t *testing.T) {
 	resp.Body.Close()
 
 	// nearlysorted is not streamable.
-	resp = postJSON(t, ts.URL+"/v1/sort/stream", StreamRequest{
-		Dataset: &DatasetSpec{Kind: "nearlysorted", N: 100},
+	resp = postJSON(t, ts.URL+"/v1/sort/stream", JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "nearlysorted", N: 100}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("nearlysorted: status = %d", resp.StatusCode)
@@ -182,9 +179,8 @@ func TestSortStreamValidation(t *testing.T) {
 	resp.Body.Close()
 
 	// Unknown mode.
-	resp = postJSON(t, ts.URL+"/v1/sort/stream", StreamRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 100},
-		Mode:    "warp",
+	resp = postJSON(t, ts.URL+"/v1/sort/stream", JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 100}, Mode: "warp"},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad mode: status = %d", resp.StatusCode)
@@ -203,20 +199,19 @@ func TestSortStreamQuota(t *testing.T) {
 	resp.Body.Close()
 
 	// Dataset spec over the quota → 400 at admission.
-	resp = postJSON(t, ts.URL+"/v1/sort/stream", StreamRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 1000},
+	resp = postJSON(t, ts.URL+"/v1/sort/stream", JobSpec{
+		Common: Common{Dataset: &DatasetSpec{Kind: "uniform", N: 1000}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized dataset: status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	// A job whose spill exceeds its own quota fails cleanly.
-	resp = postJSON(t, ts.URL+"/v1/sort/stream?wait=1", StreamRequest{
-		Dataset:      &DatasetSpec{Kind: "uniform", N: 200, Seed: 2},
-		RunSize:      50,
-		MaxDiskBytes: 500, // the 800 bytes of level-0 runs cannot all be live
-		T:            0.07,
+	// A job whose spill exceeds its own quota fails cleanly: the 800
+	// bytes of level-0 runs cannot all be live under 500.
+	resp = postJSON(t, ts.URL+"/v1/sort/stream?wait=1", JobSpec{
+		Common:   Common{Dataset: &DatasetSpec{Kind: "uniform", N: 200, Seed: 2}, T: 0.07},
+		External: External{RunSize: 50, MaxDiskBytes: 500},
 	})
 	job := decodeJob(t, resp)
 	if job.Status != StatusFailed {
@@ -228,10 +223,9 @@ func TestSortStreamOutputLifecycle(t *testing.T) {
 	cfg := Config{Workers: 1, QueueDepth: 4, RetainJobs: 1, StreamDir: t.TempDir()}
 	_, ts := streamServer(t, cfg)
 
-	resp := postJSON(t, ts.URL+"/v1/sort/stream?wait=1", StreamRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 5000, Seed: 9},
-		RunSize: 1000,
-		T:       0.07,
+	resp := postJSON(t, ts.URL+"/v1/sort/stream?wait=1", JobSpec{
+		Common:   Common{Dataset: &DatasetSpec{Kind: "uniform", N: 5000, Seed: 9}, T: 0.07},
+		External: External{RunSize: 1000},
 	})
 	job := decodeJob(t, resp)
 	if job.Status != StatusDone {
@@ -239,7 +233,7 @@ func TestSortStreamOutputLifecycle(t *testing.T) {
 	}
 
 	// Output of a non-stream job is a 400.
-	resp2 := postJSON(t, ts.URL+"/v1/sort?wait=1", SortRequest{Keys: []uint32{2, 1}})
+	resp2 := postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{Inline: Inline{Keys: []uint32{2, 1}}})
 	plain := decodeJob(t, resp2)
 	out, _ := http.Get(ts.URL + "/v1/jobs/" + plain.ID + "/output")
 	if out.StatusCode != http.StatusBadRequest {
@@ -265,12 +259,9 @@ func TestSortStreamOutputLifecycle(t *testing.T) {
 
 func TestSortStreamDeterministicAcrossResubmission(t *testing.T) {
 	_, ts := streamServer(t, Config{Workers: 2, QueueDepth: 8})
-	req := StreamRequest{
-		Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 4},
-		RunSize: 3000,
-		T:       0.07,
-		Seed:    42,
-		Mode:    ModeHybrid,
+	req := JobSpec{
+		Common:   Common{Dataset: &DatasetSpec{Kind: "uniform", N: 20000, Seed: 4}, T: 0.07, Seed: 42, Mode: ModeHybrid},
+		External: External{RunSize: 3000},
 	}
 	fetch := func() (*JobResult, []byte) {
 		resp := postJSON(t, ts.URL+"/v1/sort/stream?wait=1", req)

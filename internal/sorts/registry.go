@@ -218,6 +218,32 @@ type Candidate struct {
 	Alg  Algorithm
 }
 
+// StreamCandidates is the roster algorithm "auto" names for streaming and
+// sharded jobs: MSD radix alone, at digit width bits (0 selects its
+// default, 6), the paper's Figure 9 winner. In-memory jobs choose from
+// AutoCandidates; the out-of-core rosters stay pinned to this one entry
+// until the layered benchmark, whose sharded replay assumes MSD, moves
+// with them.
+func StreamCandidates(bits int) []Candidate {
+	in, _ := Lookup("msd")
+	return []Candidate{{Name: in.Name, Alg: in.construct(bits)}}
+}
+
+// Select resolves an algorithm request field to the planner's candidate
+// roster: a registered name is that algorithm alone at digit width bits,
+// and "auto" (or the empty name) is the given auto roster. Unknown names
+// yield *UnknownAlgorithmError.
+func Select(name string, bits int, auto []Candidate) ([]Candidate, error) {
+	if name == "" || name == "auto" {
+		return auto, nil
+	}
+	alg, err := New(name, bits)
+	if err != nil {
+		return nil, err
+	}
+	return []Candidate{{Name: name, Alg: alg}}, nil
+}
+
 // AutoCandidates returns the mode=auto selection roster: every Auto-marked
 // entry at its default digit width, in sorted name order — the iteration
 // order is part of the planner's determinism contract (ties break to the

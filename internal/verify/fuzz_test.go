@@ -98,9 +98,9 @@ func FuzzPlanner(f *testing.F) {
 		}
 		alg, tv := fuzzAlg(sel)
 		plan, err := core.Planner{
-			Config:    core.Config{Algorithm: alg, T: tv, Seed: seed},
+			Config:    core.Config{T: tv, Seed: seed},
 			PilotSize: int(pilot),
-		}.Plan(keys)
+		}.Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: alg}})
 		if err != nil {
 			t.Fatalf("Plan(%s, T=%g, n=%d, pilot=%d): %v", alg.Name(), tv, len(keys), pilot, err)
 		}

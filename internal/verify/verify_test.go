@@ -177,9 +177,9 @@ func TestCheckOutput(t *testing.T) {
 func TestCheckPlan(t *testing.T) {
 	keys := dataset.Uniform(5000, 23)
 	plan, err := core.Planner{
-		Config:    core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 2},
+		Config:    core.Config{T: 0.055, Seed: 2},
 		PilotSize: 512,
-	}.Plan(keys)
+	}.Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: sorts.MSD{Bits: 6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
