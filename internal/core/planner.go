@@ -136,7 +136,7 @@ func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candida
 			continue
 		}
 		cfg.Algorithm = candidates[i].Alg
-		pi, err := pl.pilot(sample, cfg, alphas[i])
+		pi, err := runPilot(sample, pl.PilotSize, cfg, alphas[i])
 		if err != nil {
 			return Plan{}, fmt.Errorf("core: pilot of %s: %w", candidates[i].Alg.Name(), err)
 		}
@@ -167,9 +167,9 @@ type pilot struct {
 	alpha    AlphaFunc
 }
 
-// pilot runs cfg's approx-refine over an even-spread sample.
-func (pl Planner) pilot(sample []uint32, cfg Config, alpha AlphaFunc) (pilot, error) {
-	m := pl.PilotSize
+// runPilot runs cfg's approx-refine over an even-spread sample of m
+// records (default 4096, clamped to the sample).
+func runPilot(sample []uint32, m int, cfg Config, alpha AlphaFunc) (pilot, error) {
 	if m <= 0 {
 		m = 4096
 	}

@@ -39,19 +39,6 @@ func algPointGrid(algs []sorts.Algorithm, pts []memmodel.Point) []algPoint {
 	return grid
 }
 
-// resolvePoint resolves and normalizes a point against the registry.
-func resolvePoint(pt memmodel.Point) (memmodel.Backend, memmodel.Point, error) {
-	b, err := memmodel.Get(pt.Backend)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	npt, err := b.Normalize(pt)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	return b, npt, nil
-}
-
 // mlcT returns the half-width for pcm-mlc points and 0 for every other
 // backend — the legacy RefineRow/SortOnlyRow T column.
 func mlcT(pt memmodel.Point) float64 {
@@ -72,7 +59,7 @@ func mlcT(pt memmodel.Point) float64 {
 // the point's stream seed; the backend's pinned SortOnlySeeds schedule
 // derives the space and sort streams from it.
 func SortOnlyAt(alg sorts.Algorithm, pt memmodel.Point, keys []uint32, seed uint64) (SortOnlyRow, error) {
-	b, pt, err := resolvePoint(pt)
+	b, pt, _, err := memmodel.Resolve(pt.Backend, pt.Params, 0)
 	if err != nil {
 		return SortOnlyRow{}, fmt.Errorf("experiments: %w", err)
 	}
@@ -127,7 +114,7 @@ func SortOnlyAt(alg sorts.Algorithm, pt memmodel.Point, keys []uint32, seed uint
 func SortOnlyGrid(algs []sorts.Algorithm, pts []memmodel.Point, n int, seed uint64, workers int) ([]SortOnlyRow, error) {
 	keys := dataset.Uniform(n, seed)
 	return parallel.Map(algPointGrid(algs, pts), workers, func(_ int, p algPoint) (SortOnlyRow, error) {
-		b, pt, err := resolvePoint(p.pt)
+		b, pt, _, err := memmodel.Resolve(p.pt.Backend, p.pt.Params, 0)
 		if err != nil {
 			return SortOnlyRow{}, fmt.Errorf("experiments: %w", err)
 		}
@@ -141,7 +128,7 @@ func SortOnlyGrid(algs []sorts.Algorithm, pts []memmodel.Point, n int, seed uint
 // is reported: a sweep cannot silently emit figure data from a run that
 // violated the precision contract or the write-accounting identities.
 func RefineAt(alg sorts.Algorithm, pt memmodel.Point, keys []uint32, seed uint64) (RefineRow, error) {
-	b, pt, err := resolvePoint(pt)
+	b, pt, _, err := memmodel.Resolve(pt.Backend, pt.Params, 0)
 	if err != nil {
 		return RefineRow{}, fmt.Errorf("experiments: %w", err)
 	}
@@ -189,7 +176,7 @@ func RefineAt(alg sorts.Algorithm, pt memmodel.Point, keys []uint32, seed uint64
 func RefineGrid(algs []sorts.Algorithm, pts []memmodel.Point, n int, seed uint64, workers int) ([]RefineRow, error) {
 	keys := dataset.Uniform(n, seed)
 	return parallel.Map(algPointGrid(algs, pts), workers, func(_ int, p algPoint) (RefineRow, error) {
-		b, pt, err := resolvePoint(p.pt)
+		b, pt, _, err := memmodel.Resolve(p.pt.Backend, p.pt.Params, 0)
 		if err != nil {
 			return RefineRow{}, fmt.Errorf("experiments: %w", err)
 		}
@@ -200,7 +187,7 @@ func RefineGrid(algs []sorts.Algorithm, pts []memmodel.Point, n int, seed uint64
 // ShapeAt returns the post-sort sequence X itself — the data behind the
 // scatter plots of Figures 5–7 — at any backend point.
 func ShapeAt(alg sorts.Algorithm, pt memmodel.Point, n int, seed uint64) ([]uint32, error) {
-	b, pt, err := resolvePoint(pt)
+	b, pt, _, err := memmodel.Resolve(pt.Backend, pt.Params, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
