@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -35,7 +36,7 @@ func (e *ShardError) Unwrap() error { return e.Err }
 
 // JobParams are the sort parameters a shard job is submitted with: the
 // octet-stream form of POST /v1/sort/stream, under the names of its JSON
-// body. Backend, Params and T travel as the job named them, so each shard
+// body. Backend, Params and T are forwarded unchanged, so each shard
 // resolves the same operating point as the coordinator.
 type JobParams struct {
 	Algorithm     string             `json:"algorithm,omitempty"`
@@ -79,7 +80,8 @@ func EncodeQuery(v any) url.Values {
 
 // DecodeQuery sets the fields of the struct v points to from q, by the
 // names EncodeQuery writes. Keys v has no field for, and empty values,
-// are ignored; a malformed value is an error naming its key.
+// are ignored; a malformed value is an error naming its key. Map values
+// must be finite, as in a JSON body.
 func DecodeQuery(q url.Values, v any) error {
 	return queryFields(reflect.ValueOf(v), func(name string, f reflect.Value) error {
 		if f.Kind() == reflect.Map {
@@ -92,6 +94,9 @@ func DecodeQuery(q url.Values, v any) error {
 			sort.Strings(keys)
 			for _, k := range keys {
 				x, err := strconv.ParseFloat(q.Get(k), 64)
+				if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+					err = errors.New("not a finite number")
+				}
 				if err != nil {
 					return fmt.Errorf("bad %s: %v", k, err)
 				}

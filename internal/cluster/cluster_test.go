@@ -454,8 +454,10 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if err := cluster.DecodeQuery(map[string][]string{"params.saving": {"x"}}, &got); err == nil ||
-		!strings.Contains(err.Error(), "bad params.saving") {
-		t.Errorf("malformed param value: err = %v", err)
+	for _, bad := range []string{"x", "NaN", "-Inf"} {
+		err := cluster.DecodeQuery(map[string][]string{"params.saving": {bad}}, &got)
+		if err == nil || !strings.Contains(err.Error(), "bad params.saving") {
+			t.Errorf("params.saving=%s: err = %v", bad, err)
+		}
 	}
 }
