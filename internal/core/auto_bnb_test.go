@@ -150,6 +150,69 @@ func TestPlanAutoMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestPlanExternalAutoPicksCheapestGeometry pins Plan's out-of-core
+// contest against a hand-rolled argmin over the same candidates: the
+// winner is the lowest predicted TotalWrites (whole geometries, not just
+// α), labelled with its registry name.
+func TestPlanExternalAutoPicksCheapestGeometry(t *testing.T) {
+	sample := dataset.Uniform(8192, 13)
+	ext := ExtConfig{N: 20_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true}
+	pl := Planner{Config: Config{T: 0.055, Seed: 99}}
+	cands := sorts.AutoCandidates()
+
+	plan, err := pl.Plan(sample, ext, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Algorithm == "" || plan.External == nil {
+		t.Fatalf("auto plan incomplete: %+v", plan)
+	}
+	wantName, wantCost := "", 0.0
+	for _, c := range cands {
+		p, err := pl.Plan(sample, ext, []sorts.Candidate{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantName == "" || p.External.TotalWrites < wantCost {
+			wantName, wantCost = c.Name, p.External.TotalWrites
+		}
+	}
+	if plan.Algorithm != wantName || plan.External.TotalWrites != wantCost {
+		t.Errorf("auto picked %q at %g, want %q at %g",
+			plan.Algorithm, plan.External.TotalWrites, wantName, wantCost)
+	}
+}
+
+// TestPlanShardedAutoPicksShortestCriticalPath is the sharded analogue:
+// lowest predicted critical path wins and carries its registry name.
+func TestPlanShardedAutoPicksShortestCriticalPath(t *testing.T) {
+	sample := dataset.Uniform(8192, 13)
+	cfg := ShardConfig{
+		Ext:       ExtConfig{N: 100_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true},
+		MaxShards: 4,
+	}
+	pl := Planner{Config: Config{T: 0.055, Seed: 99}}
+	cands := sorts.AutoCandidates()
+
+	plan, err := pl.Plan(sample, cfg, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Algorithm == "" || plan.Sharded == nil {
+		t.Fatalf("auto plan incomplete: %+v", plan)
+	}
+	for _, c := range cands {
+		p, err := pl.Plan(sample, cfg, []sorts.Candidate{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Sharded.CriticalPath < plan.Sharded.CriticalPath {
+			t.Errorf("candidate %q has shorter critical path %g than winner %q's %g",
+				c.Name, p.Sharded.CriticalPath, plan.Algorithm, plan.Sharded.CriticalPath)
+		}
+	}
+}
+
 // TestPlanPilotsEachCandidateOnce pins that the out-of-core geometries
 // price every fan-out and run size from one pilot per candidate: one
 // approximate space per candidate, whatever MaxShards is.
