@@ -33,7 +33,9 @@ func benchAlgoWrites(b *testing.B, alg sorts.Algorithm, t float64) {
 	b.ReportMetric(report.WriteReduction(), "writeReduction")
 }
 
-func BenchmarkAlgoLSD6AtT0055(b *testing.B)      { benchAlgoWrites(b, sorts.LSD{Bits: 6}, 0.055) }
-func BenchmarkAlgoOneSweep8AtT0055(b *testing.B) { benchAlgoWrites(b, sorts.OneSweepLSD{Bits: 8}, 0.055) }
-func BenchmarkAlgoLSD6AtT003(b *testing.B)       { benchAlgoWrites(b, sorts.LSD{Bits: 6}, 0.03) }
-func BenchmarkAlgoOneSweep8AtT003(b *testing.B)  { benchAlgoWrites(b, sorts.OneSweepLSD{Bits: 8}, 0.03) }
+func BenchmarkAlgoLSD6AtT0055(b *testing.B) { benchAlgoWrites(b, sorts.LSD{Bits: 6}, 0.055) }
+func BenchmarkAlgoOneSweep8AtT0055(b *testing.B) {
+	benchAlgoWrites(b, sorts.OneSweepLSD{Bits: 8}, 0.055)
+}
+func BenchmarkAlgoLSD6AtT003(b *testing.B)      { benchAlgoWrites(b, sorts.LSD{Bits: 6}, 0.03) }
+func BenchmarkAlgoOneSweep8AtT003(b *testing.B) { benchAlgoWrites(b, sorts.OneSweepLSD{Bits: 8}, 0.03) }

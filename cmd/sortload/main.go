@@ -52,13 +52,13 @@ func main() {
 
 // loadConfig is the parsed invocation.
 type loadConfig struct {
-	Addr   string  `json:"addr"`
-	Levels []int   `json:"concurrency_levels,omitempty"`
-	Jobs   int     `json:"jobs_per_level"`
-	N      int     `json:"n"`
-	Dist   string  `json:"dist"`
-	Alg    string  `json:"algorithm"`
-	Bits   int     `json:"bits"`
+	Addr    string  `json:"addr"`
+	Levels  []int   `json:"concurrency_levels,omitempty"`
+	Jobs    int     `json:"jobs_per_level"`
+	N       int     `json:"n"`
+	Dist    string  `json:"dist"`
+	Alg     string  `json:"algorithm"`
+	Bits    int     `json:"bits"`
 	Mode    string  `json:"mode"`
 	Backend string  `json:"backend,omitempty"`
 	T       float64 `json:"t"`

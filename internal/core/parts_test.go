@@ -65,8 +65,8 @@ func TestRunPartsMatchesRunFrontHalf(t *testing.T) {
 		t.Fatalf("RemTilde %d != Run's %d", pr.RemTilde, rr.RemTilde)
 	}
 	for _, st := range []struct {
-		name  string
-		p, r  StageBreakdown
+		name string
+		p, r StageBreakdown
 	}{
 		{"Prep", pr.Prep, rr.Prep},
 		{"ApproxSort", pr.ApproxSort, rr.ApproxSort},

@@ -74,11 +74,11 @@ func TestMLCNormalizeDefaultsAndBounds(t *testing.T) {
 	}
 
 	for _, bad := range []Point{
-		MLC(0),             // T strictly positive (open lower bound)
-		MLC(-0.01),         // negative
-		MLC(mlc.MaxT + 1),  // above the model's ceiling
+		MLC(0),            // T strictly positive (open lower bound)
+		MLC(-0.01),        // negative
+		MLC(mlc.MaxT + 1), // above the model's ceiling
 		{Backend: PCMMLC, Params: map[string]float64{"saving": 0.3}}, // foreign parameter
-		{Backend: SpintronicName}, // point names another backend
+		{Backend: SpintronicName},                                    // point names another backend
 	} {
 		if _, err := b.Normalize(bad); err == nil {
 			t.Errorf("Normalize(%v) accepted", bad)

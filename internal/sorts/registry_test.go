@@ -115,11 +115,11 @@ func TestProfiles(t *testing.T) {
 		exact       bool
 		reorderable bool
 	}{
-		{Quicksort{}, 6, false, false},   // n·log2(n)/2
-		{Mergesort{}, 12, false, false},  // n·log2(n)
-		{LSD{Bits: 6}, 12, true, true},   // 2·6 passes
-		{LSD{Bits: 8}, 8, true, true},    // 2·4 passes
-		{MSD{Bits: 6}, 12, false, true},  // expectation only (insertion leaves)
+		{Quicksort{}, 6, false, false},         // n·log2(n)/2
+		{Mergesort{}, 12, false, false},        // n·log2(n)
+		{LSD{Bits: 6}, 12, true, true},         // 2·6 passes
+		{LSD{Bits: 8}, 8, true, true},          // 2·4 passes
+		{MSD{Bits: 6}, 12, false, true},        // expectation only (insertion leaves)
 		{OneSweepLSD{Bits: 8}, 8, true, true},  // 2·4 passes, even → in place
 		{OneSweepLSD{Bits: 5}, 15, true, true}, // 2·7 passes + odd-count copy home
 		{OneSweepLSD{Bits: 16}, 4, true, true}, // 2·2 passes

@@ -3,6 +3,9 @@
 # script, so local runs and CI cannot drift on flags or check sets.
 #
 # Runs, in order:
+#   0. gofmt -l          — every .go file formatted, except
+#                          internal/analysis/testdata/ (analysistest pins
+#                          its fixtures' layout, line for line)
 #   1. go vet            — the stock suite
 #   2. staticcheck       — check set committed in staticcheck.conf
 #                          (skipped with a notice when not installed;
@@ -29,6 +32,15 @@ while [ $# -gt 0 ]; do
     *) echo "lint.sh: unknown argument $1" >&2; exit 64 ;;
   esac
 done
+
+echo "== gofmt"
+unformatted="$(find . -name '*.go' -not -path './internal/analysis/testdata/*' -not -path './.*' -print0 |
+  xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "== go vet"
 go vet ./...
