@@ -1,10 +1,9 @@
 package approxsort_test
 
 // Multi-node benchmarks behind BENCH_cluster.json. These measure the
-// sharded-sortd pipeline's moving parts — the shard router, the
-// cross-shard merge primitive, and a full coordinator sort over an
-// in-process fleet — at sizes that force real fan-out while staying
-// bench-friendly. The full-scale scaling sweep is `sortload -nodes 1,3`
+// sharded-sortd pipeline's moving parts — the shard router and a full
+// coordinator sort over an in-process fleet — at sizes that force real
+// fan-out while staying bench-friendly. The full-scale scaling sweep is `sortload -nodes 1,3`
 // against a real fleet (the cluster-smoke CI job).
 
 import (
@@ -13,12 +12,10 @@ import (
 	"encoding/binary"
 	"io"
 	"net/http/httptest"
-	"sort"
 	"testing"
 
 	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
-	"approxsort/internal/extsort"
 	"approxsort/internal/server"
 	"approxsort/internal/verify"
 )
@@ -80,43 +77,12 @@ func benchClusterSort(b *testing.B, shards, maxShards int) {
 
 // BenchmarkClusterSort3Shards is the headline multi-node configuration:
 // sample, partition, three verified shard jobs, and the range-pinned
-// audited cross-shard merge.
+// audited concatenation of their outputs.
 func BenchmarkClusterSort3Shards(b *testing.B) { benchClusterSort(b, 3, 0) }
 
 // BenchmarkClusterSort1Shard pins the fan-out to one node over the same
 // input — the coordination overhead baseline the 3-shard run amortizes.
 func BenchmarkClusterSort1Shard(b *testing.B) { benchClusterSort(b, 3, 1) }
-
-// BenchmarkClusterMergeReaders isolates the cross-shard merge primitive:
-// a k-way tournament over pre-sorted shard streams under one precise
-// write accountant.
-func BenchmarkClusterMergeReaders(b *testing.B) {
-	const parts = 4
-	per := benchClusterN / parts
-	streams := make([][]byte, parts)
-	counts := make([]int64, parts)
-	for i := range streams {
-		keys := dataset.Uniform(per, benchSeed+uint64(i))
-		sort.Slice(keys, func(a, c int) bool { return keys[a] < keys[c] })
-		streams[i] = benchEncode(keys)
-		counts[i] = int64(per)
-	}
-	b.SetBytes(int64(4 * per * parts))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		readers := make([]io.Reader, parts)
-		for j := range readers {
-			readers[j] = bytes.NewReader(streams[j])
-		}
-		ms, err := extsort.MergeReaders(readers, counts, io.Discard, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ms.Writes != int64(per*parts) {
-			b.Fatalf("MergeWrites = %d", ms.Writes)
-		}
-	}
-}
 
 // BenchmarkClusterRoute measures the shard router: one Route call per
 // key against sampled splitters, the per-record cost of partitioning.

@@ -191,8 +191,6 @@ type Client struct {
 	Node string
 	// HTTP is the transport (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval is the job-status poll cadence (default 50ms).
-	PollInterval time.Duration
 	// SubmitRetries bounds retries after 429 queue-full responses
 	// (default 20, honoring Retry-After between attempts).
 	SubmitRetries int
@@ -277,35 +275,13 @@ func (c *Client) Submit(ctx context.Context, p JobParams, bodyFn func() (io.Read
 	}
 }
 
-// Wait polls the job until it reaches a terminal state and returns the
-// final snapshot. A failed job is a ShardError at stage "job" carrying
-// the shard's own error text.
+// Wait blocks on GET /v1/jobs/{id}?wait=1, which the shard answers once
+// the job is terminal, and returns the final snapshot. A failed job is a
+// ShardError at stage "job" carrying the shard's own error text; a
+// request that fails or ends early, or a non-terminal reply, is a
+// ShardError at stage "poll".
 func (c *Client) Wait(ctx context.Context, jobID string) (jobView, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	for {
-		jv, err := c.job(ctx, jobID)
-		if err != nil {
-			return jobView{}, err
-		}
-		switch jv.Status {
-		case "done":
-			return jv, nil
-		case "failed":
-			return jobView{}, c.fail("job", fmt.Errorf("job %s failed: %s", jobID, jv.Error))
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return jobView{}, c.fail("poll", ctx.Err())
-		}
-	}
-}
-
-func (c *Client) job(ctx context.Context, jobID string) (jobView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Node+"/v1/jobs/"+jobID, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Node+"/v1/jobs/"+jobID+"?wait=1", nil)
 	if err != nil {
 		return jobView{}, c.fail("poll", err)
 	}
@@ -321,7 +297,13 @@ func (c *Client) job(ctx context.Context, jobID string) (jobView, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&jv); err != nil {
 		return jobView{}, c.fail("poll", err)
 	}
-	return jv, nil
+	switch jv.Status {
+	case "done":
+		return jv, nil
+	case "failed":
+		return jobView{}, c.fail("job", fmt.Errorf("job %s failed: %s", jobID, jv.Error))
+	}
+	return jobView{}, c.fail("poll", fmt.Errorf("job %s is %q after a blocking wait", jobID, jv.Status))
 }
 
 // Output opens the finished job's sorted stream. The caller must close

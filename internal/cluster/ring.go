@@ -1,9 +1,10 @@
 // Package cluster fans one large sort across a fleet of sortd
 // instances: a coordinator samples splitters, range-partitions the
 // input into per-shard jobs placed by consistent hashing, drives the
-// shards' approx-refine external sorts over the HTTP API, and folds the
-// sorted shard streams through a single verified merge tournament so
-// the cross-shard MergeWrites ledger stays exact.
+// shards' approx-refine external sorts over the HTTP API, and
+// concatenates the sorted shard streams in range order — range
+// partitioning leaves nothing to merge — through the injected audit
+// hooks, so the final pass's MergeWrites ledger stays exact.
 //
 // The package deliberately imports neither internal/server nor
 // internal/verify: it speaks to shards over the wire (small JSON

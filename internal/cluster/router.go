@@ -13,7 +13,8 @@ import (
 // value, so a degenerate input still spreads instead of landing a whole
 // stream on one shard. The rotation is deterministic (a per-value
 // counter), and since equal keys are indistinguishable in a keys-only
-// stream, the merged output is identical whichever shard sorts them.
+// stream, the concatenated output is identical whichever shard sorts
+// them.
 type Partitioner struct {
 	splitters []uint32
 	shards    int

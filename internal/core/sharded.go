@@ -9,11 +9,11 @@ import (
 // This file extends the (M, B, ω) external planner across machines: a
 // cluster coordinator range-partitions the input over S shard sortd
 // instances, each runs the single-node approx-refine external sort over
-// ~N/S records, and the coordinator folds the S sorted shard streams
-// through one cross-shard merge tournament. Shards sort concurrently, so
-// the predicted wall cost is the per-shard critical path plus the
-// coordinator's serial cross-merge; the planner picks the S that
-// minimizes it and reports the predicted speedup over S = 1.
+// ~N/S records, and the coordinator streams the S sorted shard outputs
+// back in range order, a serial final pass of one precise write per
+// record. Shards sort concurrently, so the predicted wall cost is the
+// per-shard critical path plus that cross pass; the planner picks the S
+// that minimizes it and reports the predicted speedup over S = 1.
 
 // ShardConfig parameterizes the multi-node planner on top of an
 // ExtConfig describing each shard's local geometry.

@@ -46,19 +46,16 @@ func (a *mergeAccountant) totals() (writes int64, writeNanos float64) {
 	return int64(st.Writes), st.WriteNanos
 }
 
-// cursor streams one sorted record source in decoded blocks, verifying
-// monotonicity as it goes (a source that ever yields a decreasing key is
-// corruption, reported instead of silently merged). File-backed cursors
-// (openCursor) are closed and unlinked the moment they are exhausted —
-// the earliest point the bytes are dead — which keeps the live spill
-// footprint near n instead of 2n; reader-backed cursors (MergeReaders,
-// e.g. a remote shard's downloaded output) carry no disk state.
+// cursor streams one sorted run file in decoded blocks, verifying
+// monotonicity as it goes (a run that ever yields a decreasing key is
+// corruption, reported instead of silently merged). A cursor closes and
+// unlinks its file the moment it is exhausted — the earliest point the
+// bytes are dead — which keeps the live spill footprint near n instead
+// of 2n.
 type cursor struct {
-	src     io.Reader
-	label   string // for error messages: a run path or a stream name
-	expect  int64  // expected record count; -1 skips the check
-	closeFn func() // idempotent close of the underlying source
-	doneFn  func() // clean-exhaust hook: unlink + disk credit for files
+	f       *os.File // nil once closed
+	rf      runFile
+	disk    *diskTracker
 	raw     []byte
 	buf     []uint32
 	i, n    int
@@ -68,26 +65,18 @@ type cursor struct {
 	done    bool
 }
 
-// newCursor wraps a sorted little-endian uint32 stream. expect < 0 skips
-// the end-of-stream record-count check.
-func newCursor(src io.Reader, label string, expect int64, blockRecords int) *cursor {
-	return &cursor{
-		src:    src,
-		label:  label,
-		expect: expect,
-		raw:    make([]byte, 4*blockRecords),
-		buf:    make([]uint32, blockRecords),
-	}
-}
-
 func openCursor(rf runFile, blockRecords int, disk *diskTracker) (*cursor, error) {
 	f, err := os.Open(rf.path)
 	if err != nil {
 		return nil, err
 	}
-	c := newCursor(f, rf.path, rf.records, blockRecords)
-	c.closeFn = func() { f.Close() }
-	c.doneFn = func() { rf.remove(disk) }
+	c := &cursor{
+		f:    f,
+		rf:   rf,
+		disk: disk,
+		raw:  make([]byte, 4*blockRecords),
+		buf:  make([]uint32, blockRecords),
+	}
 	if err := c.fill(); err != nil {
 		c.close()
 		return nil, err
@@ -96,26 +85,23 @@ func openCursor(rf runFile, blockRecords int, disk *diskTracker) (*cursor, error
 }
 
 // fill decodes the next block. On end of stream it validates the record
-// count, closes the source, runs the exhaust hook, and marks the cursor
-// done.
+// count, closes and unlinks the run, and marks the cursor done.
 func (c *cursor) fill() error {
 	if c.done {
 		return nil
 	}
-	nb, err := io.ReadFull(c.src, c.raw)
+	nb, err := io.ReadFull(c.f, c.raw)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		if nb%4 != 0 {
-			return fmt.Errorf("extsort: run %s truncated mid-record", c.label)
+			return fmt.Errorf("extsort: run %s truncated mid-record", c.rf.path)
 		}
 		if nb == 0 {
-			if c.expect >= 0 && c.got != c.expect {
-				return fmt.Errorf("extsort: run %s has %d records, expected %d", c.label, c.got, c.expect)
+			if c.got != c.rf.records {
+				return fmt.Errorf("extsort: run %s has %d records, expected %d", c.rf.path, c.got, c.rf.records)
 			}
 			c.done = true
 			c.close()
-			if c.doneFn != nil {
-				c.doneFn()
-			}
+			c.rf.remove(c.disk)
 			return nil
 		}
 	} else if err != nil {
@@ -126,7 +112,7 @@ func (c *cursor) fill() error {
 	for i := 0; i < c.n; i++ {
 		k := binary.LittleEndian.Uint32(c.raw[4*i:])
 		if c.started && k < c.prev {
-			return fmt.Errorf("extsort: run %s not sorted at record %d (%d after %d)", c.label, c.got+int64(i), k, c.prev)
+			return fmt.Errorf("extsort: run %s not sorted at record %d (%d after %d)", c.rf.path, c.got+int64(i), k, c.prev)
 		}
 		c.prev = k
 		c.started = true
@@ -137,9 +123,9 @@ func (c *cursor) fill() error {
 }
 
 func (c *cursor) close() {
-	if c.closeFn != nil {
-		c.closeFn()
-		c.closeFn = nil
+	if c.f != nil {
+		c.f.Close()
+		c.f = nil
 	}
 }
 

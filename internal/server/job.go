@@ -389,7 +389,7 @@ type JobResult struct {
 
 	// Cluster is the multi-node section of a sharded job's result: the
 	// per-shard ledger, splitters, the (M, B, ω, S) plan, and the
-	// cross-shard merge accounting.
+	// final pass's write accounting.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 
 	// Rem is the refine stage's heuristic remainder Rem~ (hybrid only).

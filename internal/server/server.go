@@ -71,9 +71,9 @@ type Config struct {
 	// (default 2); past it the endpoint rejects with 429 + Retry-After.
 	TenantMaxInflight int
 	// ShardSortTimeout bounds one sharded sort's whole fan-out — shard
-	// submission, polling, output merge and table relay — with a
-	// deadline-bearing context (default 10m). Without it a hung shard
-	// node would pin the job, its tenant slot and a worker forever;
+	// submission, the blocking job waits, output copy and table relay —
+	// with a deadline-bearing context (default 10m). Without it a hung
+	// shard node would pin the job, its tenant slot and a worker forever;
 	// graceful drain still lets in-flight fan-outs run to completion,
 	// they just cannot outlive this budget.
 	ShardSortTimeout time.Duration
@@ -395,13 +395,7 @@ func (s *Server) handleSubmit(kind string) http.HandlerFunc {
 		}
 
 		if r.URL.Query().Get("wait") != "" {
-			select {
-			case <-job.done:
-				s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
-			case <-r.Context().Done():
-				// Client gave up; the job keeps running and remains pollable.
-				s.requests.With(route, "499").Inc()
-			}
+			s.awaitJob(w, r, route, job)
 			return
 		}
 		w.Header().Set("Location", "/v1/jobs/"+job.ID)
@@ -492,6 +486,19 @@ func (s *Server) snapshot(job *Job) Job {
 	return *job
 }
 
+// awaitJob answers a ?wait request: it blocks until job is terminal and
+// replies with its snapshot.
+func (s *Server) awaitJob(w http.ResponseWriter, r *http.Request, route string, job *Job) {
+	select {
+	case <-job.done:
+		s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
+	case <-r.Context().Done():
+		// Client gave up; the job keeps running and remains pollable.
+		s.requests.With(route, "499").Inc()
+	}
+}
+
+// handleJob serves a job record; ?wait blocks until the job is terminal.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	const route = "/v1/jobs"
 	id := r.PathValue("id")
@@ -500,6 +507,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if !ok {
 		s.writeJSON(w, route, http.StatusNotFound, apiError{Error: "unknown job " + id})
+		return
+	}
+	if r.URL.Query().Get("wait") != "" {
+		s.awaitJob(w, r, route, job)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, s.snapshot(job))

@@ -39,9 +39,9 @@ func (s *Server) releaseTenant(tenant string) {
 
 // executeSharded runs one sharded job: the coordinator partitions the
 // input across the shard fleet, every shard runs a verified
-// approx-refine job, and the cross-shard merge flows back through the
-// full audit chain (range-pinned shard streams, merged-stream checker,
-// cluster ledger reconciliation).
+// approx-refine job, and the shard outputs, concatenated in range order,
+// flow back through the full audit chain (range-pinned shard streams,
+// output stream checker, cluster ledger reconciliation).
 func (s *Server) executeSharded(job *Job) (*JobResult, error) {
 	req := job.spec
 	co, err := cluster.New(cluster.Config{
@@ -79,7 +79,7 @@ func (s *Server) executeSharded(job *Job) (*JobResult, error) {
 		if stats, err = co.Sort(ctx, src, out); err != nil {
 			return err
 		}
-		// The coordinator already held the merged stream to the
+		// The coordinator already held the output stream to the
 		// StreamChecker and every shard range to its RangeReader; the
 		// ledger reconciliation is the last gate before done.
 		return verify.CheckClusterStats(stats).Err()

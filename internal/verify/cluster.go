@@ -16,17 +16,18 @@ import (
 // The cross-shard chain, end to end: every shard job verified its own
 // sort (Auditor per run, StreamChecker on its output, ledger
 // reconciliation); RangeReader pins each downloaded shard stream to the
-// shard's assigned key range as the merge consumes it; the merged
-// output runs through a coordinator StreamChecker; and
-// CheckClusterStats reconciles the coordinator's ledger — partition
-// counts, shard ranges, and the exact cross-merge write identity.
+// shard's assigned key range and record count as the coordinator copies
+// it out; the concatenated output runs through a coordinator
+// StreamChecker; and CheckClusterStats reconciles the coordinator's
+// ledger — partition counts, shard ranges, and the exact final-pass
+// write identity.
 
 // RangeReader wraps one shard's sorted output stream, failing the read
 // the moment a record is out of the shard's [lo, hi] range (inclusive
 // — boundary values may legally land on either side of a splitter),
 // decreases, or the stream ends at the wrong record count. It is the
 // cluster.Config.WrapShard hook: a shard cannot smuggle keys outside
-// its partition past it, so the merged stream's provenance is pinned
+// its partition past it, so the output stream's provenance is pinned
 // shard by shard.
 type RangeReader struct {
 	r       io.Reader
@@ -124,7 +125,7 @@ func WrapShards() func(shard int, lo, hi uint32, expect int64, r io.Reader) io.R
 // CheckClusterStats reconciles a finished cluster sort's ledger: the
 // partition counts must conserve the input, the shard ranges must tile
 // the key space in splitter order, every shard must have verified its
-// own job, and the coordinator's cross-merge must have charged exactly
+// own job, and the coordinator's final pass must have charged exactly
 // one precise write per record.
 func CheckClusterStats(st cluster.Stats) *Report {
 	rep := &Report{N: int(st.Records)}
@@ -161,8 +162,8 @@ func CheckClusterStats(st cluster.Stats) *Report {
 	rep.check(sum == st.Records, "cluster-ledger",
 		"shard records sum to %d, coordinator routed %d", sum, st.Records)
 
-	// The cross-shard merge is a single pass over one block-staging
-	// accountant: exactly one precise write per record.
+	// The final pass concatenates the shard outputs once: exactly one
+	// precise write per record.
 	rep.check(st.MergeWrites == st.Records, "cluster-merge",
 		"MergeWrites = %d, want one precise write per record = %d", st.MergeWrites, st.Records)
 	rep.check(st.Records == 0 || st.MergeWriteNanos > 0, "cluster-merge",
