@@ -8,7 +8,7 @@
 //	POST /v1/sort           submit a job; ?wait=1 blocks for the result
 //	POST /v1/sort/stream    submit an out-of-core streaming job
 //	POST /v1/sort/sharded   fan one sort across the -shards fleet
-//	GET  /v1/jobs/{id}      poll a job record
+//	GET  /v1/jobs/{id}      poll a job record; ?wait=1 blocks until it is terminal
 //	GET  /v1/jobs/{id}/output  download a finished job's sorted stream
 //	GET  /v1/tables         export a calibrated MLC table artifact
 //	POST /v1/tables         install a relayed table artifact
@@ -25,7 +25,7 @@
 // With -shards the instance also acts as a cluster coordinator:
 // POST /v1/sort/sharded range-partitions the input over the listed
 // sortd nodes, runs one verified approx-refine job per shard, and
-// k-way-merges the shard outputs under a single write accountant.
+// concatenates the audited shard outputs in range order.
 //
 // SIGINT/SIGTERM trigger a graceful drain: health flips to 503, new jobs
 // are refused, queued and in-flight jobs finish (up to -drain), then the
@@ -58,6 +58,18 @@ func main() {
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// Connection timeouts. WriteTimeout stays zero: a ?wait reply or an
+// /output download lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's http.Server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // onListen, when non-nil, receives the bound address once the listener is
@@ -122,7 +134,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		onListen(ln.Addr().String())
 	}
 
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -125,3 +125,14 @@ func TestDaemonFlagValidation(t *testing.T) {
 		t.Error("bad -addr accepted")
 	}
 }
+
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: slow or
+// idle clients cannot hold connections forever, while WriteTimeout stays
+// zero so job-long ?wait replies and /output streams are not cut.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute || srv.WriteTimeout != 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v, WriteTimeout = %v; want 10s, 2m, 0",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -166,6 +167,88 @@ func TestSortAsyncPolling(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status = %d", r.StatusCode)
+	}
+}
+
+// TestJobWaitBlocksUntilTerminal pins GET /v1/jobs/{id}?wait=1: it
+// blocks while the job runs and then replies 200 with the terminal
+// record, the same bytes a plain GET returns afterwards. A plain GET
+// still answers at once, and an unknown id is still 404.
+func TestJobWaitBlocksUntilTerminal(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 8})
+	block := make(chan struct{})
+	started := make(chan struct{}, 1)
+	s.testHookBeforeExec = func(*Job) { started <- struct{}{}; <-block }
+	defer s.Shutdown(context.Background())
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	defer release()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	job := decodeJob(t, postJSON(t, ts.URL+"/v1/sort", JobSpec{Inline: Inline{Keys: []uint32{3, 1, 2}}}))
+	<-started
+	url := ts.URL + "/v1/jobs/" + job.ID
+
+	r, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeJob(t, r); r.StatusCode != http.StatusOK || got.Status != StatusQueued {
+		t.Fatalf("plain GET of a held job: %d %q, want 200 %q", r.StatusCode, got.Status, StatusQueued)
+	}
+
+	type reply struct {
+		code int
+		body string
+	}
+	waited := make(chan reply, 1)
+	go func() {
+		r, err := http.Get(url + "?wait=1")
+		if err != nil {
+			t.Error(err)
+			waited <- reply{}
+			return
+		}
+		defer r.Body.Close()
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- reply{r.StatusCode, string(body)}
+	}()
+	select {
+	case rep := <-waited:
+		t.Fatalf("?wait=1 returned while the job was running: %d %s", rep.code, rep.body)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	rep := <-waited
+	if rep.code != http.StatusOK {
+		t.Fatalf("?wait=1 status = %d: %s", rep.code, rep.body)
+	}
+	var got Job
+	if err := json.Unmarshal([]byte(rep.body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != StatusDone || got.Result == nil || !got.Result.Sorted {
+		t.Fatalf("?wait=1 reply is not the terminal record: %s", rep.body)
+	}
+	r, err = http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain := readAll(t, r); plain != rep.body {
+		t.Errorf("plain GET after the wait differs:\n%s\nvs\n%s", plain, rep.body)
+	}
+
+	r, err = http.Get(ts.URL + "/v1/jobs/nope?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job with ?wait=1: status = %d, want 404", r.StatusCode)
 	}
 }
 
