@@ -364,20 +364,28 @@ func partitionSpool(spool, dir string, part *Partitioner) ([]int64, error) {
 		writers[i] = bufio.NewWriterSize(f, 1<<16)
 	}
 
-	r := bufio.NewReaderSize(in, 1<<16)
-	var word [4]byte
+	// Read in whole chunks; only the last read can be short, and it must
+	// still end on a record boundary.
+	buf := make([]byte, 1<<16)
 	for {
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			if err == io.EOF {
-				break
+		n, err := io.ReadFull(in, buf)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		if n%4 != 0 {
+			return nil, fmt.Errorf("cluster: spool truncated mid-record (%d trailing bytes)", n%4)
+		}
+		for off := 0; off < n; off += 4 {
+			word := buf[off : off+4]
+			s := part.Route(binary.LittleEndian.Uint32(word))
+			if _, err := writers[s].Write(word); err != nil {
+				return nil, err
 			}
-			return nil, err
+			counts[s]++
 		}
-		s := part.Route(binary.LittleEndian.Uint32(word[:]))
-		if _, err := writers[s].Write(word[:]); err != nil {
-			return nil, err
+		if err != nil {
+			break
 		}
-		counts[s]++
 	}
 	for i, w := range writers {
 		if err := w.Flush(); err != nil {

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Partitioner routes keys to shards by range: shard i owns the keys in
@@ -60,8 +60,8 @@ func (p *Partitioner) Route(key uint32) int {
 	// (lo, hi] rule), unless key IS a boundary value, where every shard
 	// between the first and last splitter equal to key (plus the one
 	// above the last) is eligible and the per-value counter rotates.
-	i := sort.Search(len(p.splitters), func(i int) bool { return p.splitters[i] >= key })
-	if i == len(p.splitters) || p.splitters[i] != key {
+	i, boundary := slices.BinarySearch(p.splitters, key)
+	if !boundary {
 		return i
 	}
 	j := i

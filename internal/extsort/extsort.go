@@ -12,8 +12,8 @@
 // AutoPlan — chosen by the (M, B, ω) cost model (core.Planner.Plan,
 // DESIGN.md §14):
 //
-//   - Run formation: replacement selection (the default; a tournament
-//     tree over RunSize resident records assigns each incoming record to
+//   - Run formation: replacement selection (the default; a radix heap
+//     over RunSize resident records assigns each incoming record to
 //     the earliest run that can still accept it, yielding runs of ~2×
 //     RunSize expected length on random input — the snowplow argument)
 //     or plain load-sort-store chunking (runs of exactly RunSize).

@@ -10,11 +10,11 @@ import (
 )
 
 // Replacement-selection run formation (SNIPPETS.md §2; Knuth TAOCP vol. 3
-// §5.4.1). A tournament tree holds RunSize resident records keyed by
-// (run, key): the winner is the smallest key of the earliest open run.
-// When a record arrives it evicts the current winner from the selection
-// buffer and is itself assigned a run at that moment — the current
-// winner's run if its key can still extend it (key ≥ the winner key just
+// §5.4.1). A radix heap holds RunSize resident records keyed by
+// (run, key): its minimum is the smallest key of the earliest open run.
+// When a record arrives it evicts the current minimum from the selection
+// buffer and is itself assigned a run at that moment — the evicted
+// record's run if its key can still extend it (key ≥ the key just
 // evicted), the next run otherwise. On uniform-random input the expected
 // run length is 2×RunSize (the snowplow argument), which halves the run
 // count and usually removes a merge pass relative to chunking.
@@ -22,7 +22,7 @@ import (
 // Unlike the textbook formulation — where the pop order itself emits the
 // sorted run — records are staged per run in arrival order and each
 // closed run is sorted as one batch on the hybrid memory system. The
-// tournament decides only membership. This keeps the per-run sort a
+// heap decides only membership. This keeps the per-run sort a
 // genuine approx-refine workload (the pop order would already be sorted,
 // degenerating the study) while preserving the 2× run length; the
 // selection buffer is host bookkeeping, like the dataset generators, and
@@ -33,18 +33,20 @@ import (
 //   - run tags are non-decreasing along the pop sequence, and at most
 //     two runs (current, next) accept records at any moment, so exactly
 //     two arrival-order staging buffers are live;
-//   - run r closes when the tree's winner first carries a later run tag,
-//     after which no record can be tagged ≤ r.
+//   - run r closes when the heap's minimum first carries a later run
+//     tag, after which no record can be tagged ≤ r;
+//   - equal selection keys are equal records of one run, so which of
+//     them the heap evicts first cannot change any run's membership.
 
 // formReplacement forms runs by replacement selection, flushing each
 // closed run through flushRun, and returns the spilled files in run
 // order.
 func (st *state) formReplacement(src *recordSource) ([]runFile, error) {
-	// Selection keys pack (run, key) into one uint64 so the tournament
-	// tree orders by run first, key second.
-	slot := make([]uint64, 0, st.runSize)
+	// Selection keys pack (run, key) into one uint64 so the heap orders
+	// by run first, key second.
+	var queue radixHeap
 	var stage [2][]uint32 // arrival-order staging for runs curRun, curRun+1
-	for {
+	for len(stage[0]) < st.runSize {
 		k, ok, err := src.next()
 		if err != nil {
 			return nil, err
@@ -53,17 +55,13 @@ func (st *state) formReplacement(src *recordSource) ([]runFile, error) {
 			break
 		}
 		stage[0] = append(stage[0], k)
-		slot = append(slot, uint64(k)) // run 0
-		if len(slot) == st.runSize {
-			break
-		}
+		queue.push(uint64(k)) // run 0
 	}
 	st.stats.Records = src.records
-	if len(slot) == 0 {
+	if len(stage[0]) == 0 {
 		return nil, nil
 	}
 
-	tree := newTournamentTree(slot)
 	curRun := 0
 	var files []runFile
 	closeThrough := func(run int) error {
@@ -90,12 +88,12 @@ func (st *state) formReplacement(src *recordSource) ([]runFile, error) {
 			break
 		}
 		st.stats.Records = src.records
-		leaf := tree.winner()
-		wk := tree.key[leaf]
+		wk := queue.pop()
 		run, key := int(wk>>32), uint32(wk)
-		// The winner is evicted (its record is already staged); x takes
-		// its slot and is assigned a run now: run if it can still extend
-		// it, run+1 otherwise.
+		// The minimum is evicted (its record is already staged); x takes
+		// its place and is assigned a run now: run if it can still extend
+		// it, run+1 otherwise. Either way its selection key is ≥ wk, the
+		// monotone order the radix heap requires.
 		if err := closeThrough(run); err != nil {
 			return nil, err
 		}
@@ -107,7 +105,7 @@ func (st *state) formReplacement(src *recordSource) ([]runFile, error) {
 			}
 		}
 		stage[tag&1] = append(stage[tag&1], x)
-		tree.update(leaf, uint64(tag)<<32|uint64(x))
+		queue.push(uint64(tag)<<32 | uint64(x))
 	}
 	st.stats.Records = src.records
 

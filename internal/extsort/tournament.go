@@ -1,12 +1,11 @@
 package extsort
 
 // tournamentTree is an implicit binary winner tree over k uint64-keyed
-// leaves — the selection structure behind both replacement-selection run
-// formation (keys ordered by (run, key)) and the k-way merge (keys
-// ordered by (key, cursor)). Selecting the minimum is O(1); replacing the
-// winner's key and restoring the invariant is one leaf-to-root replay,
-// O(log k) with no allocation — the property that makes replacement
-// selection and wide merges affordable per record.
+// leaves — the selection structure of the k-way merge (keys ordered by
+// (key, cursor)). Selecting the minimum is O(1); replacing the winner's
+// key and restoring the invariant is one leaf-to-root replay, O(log k)
+// with no allocation. Replacement selection, whose keys only grow, uses
+// the cheaper radixHeap instead.
 //
 // Layout: the k leaves occupy implicit positions k..2k-1; node[1..k-1]
 // are internal and store the winning (minimum) leaf index of their

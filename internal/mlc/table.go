@@ -44,13 +44,14 @@ type Table struct {
 	// is equivalent to the integer comparison k < ceil(cum[i]·2⁵³) —
 	// bit-for-bit, while consuming the identical stream. resThr[l]
 	// holds Levels thresholds and itersThr[l] MaxIters thresholds for
-	// target level l. The prefix tables map (level, top 8 bits of k) to
+	// target level l. The prefix table maps (level, top 8 bits of k) to
 	// the selected index, or to the first index a threshold scan can
-	// select when the bucket straddles a threshold (see drawPrefix).
+	// select when the bucket straddles a threshold (see drawPrefix). It
+	// is one flat table of Levels<<9 entries: row level<<9 holds the
+	// read-back prefix at +0 and the pulse-count prefix at +256.
 	resThr   [][]uint64
 	itersThr [][]uint64
-	resPfx   [][256]uint16
-	itersPfx [][256]uint16
+	pfx      []uint16
 
 	// bitsPerCell and levelMask cache the per-cell shift/mask state so
 	// WriteWord does not re-derive it per word.
@@ -114,13 +115,13 @@ func (t *Table) buildDense() {
 	t.levelMask = uint32(t.p.Levels - 1)
 	t.resThr = make([][]uint64, t.p.Levels)
 	t.itersThr = make([][]uint64, t.p.Levels)
-	t.resPfx = make([][256]uint16, t.p.Levels)
-	t.itersPfx = make([][256]uint16, t.p.Levels)
+	t.pfx = make([]uint16, t.p.Levels<<9)
 	for level := range t.p.Levels {
 		t.resThr[level] = fixedThresholds(t.resCum[level])
 		t.itersThr[level] = fixedThresholds(t.itersCum[level])
-		t.resPfx[level] = drawPrefix(t.resThr[level])
-		t.itersPfx[level] = drawPrefix(t.itersThr[level])
+		row := t.pfx[level<<9:]
+		drawPrefix(row[:256], t.resThr[level])
+		drawPrefix(row[256:512], t.itersThr[level])
 	}
 }
 
@@ -145,15 +146,14 @@ func fixedThresholds(cum []float64) []uint64 {
 // so every draw with that top byte selects the same index.
 const scanPfx = 1 << 15
 
-// drawPrefix builds the 256-entry top-bits lookup for one threshold
+// drawPrefix fills pfx, the 256-entry top-bits lookup for one threshold
 // array, keyed by the draw's top byte b = k>>45. A draw k with top byte
 // b lies in [b<<45, (b+1)<<45); when that whole interval falls between
 // two adjacent thresholds the entry holds the selected index directly,
 // otherwise it holds scanPfx | firstCandidate. Distributions here are
 // short and front-loaded, so almost all buckets are pure and the
 // sampler's common path is one 16-bit load per draw.
-func drawPrefix(thr []uint64) [256]uint16 {
-	var pfx [256]uint16
+func drawPrefix(pfx []uint16, thr []uint64) {
 	i := 0
 	for b := 0; b < 256; b++ {
 		lo := uint64(b) << 45
@@ -166,7 +166,6 @@ func drawPrefix(thr []uint64) [256]uint16 {
 			pfx[b] = scanPfx | uint16(i)
 		}
 	}
-	return pfx
 }
 
 func cumulate(counts []int, total int) []float64 {
@@ -206,7 +205,13 @@ func sampleCum(r *rng.Source, cum []float64) int {
 //memlint:hotpath
 func (t *Table) WriteWord(r *rng.Source, w uint32) (uint32, int) {
 	s0, s1, s2, s3 := r.State()
-	stored, total, s0, s1, s2, s3 := t.writeWord(w, s0, s1, s2, s3)
+	var stored uint32
+	var total int
+	if t.levelMask == 3 {
+		stored, total, s0, s1, s2, s3 = t.writeWord4(w, s0, s1, s2, s3)
+	} else {
+		stored, total, s0, s1, s2, s3 = t.writeWord(w, s0, s1, s2, s3)
+	}
 	r.SetState(s0, s1, s2, s3)
 	return stored, total
 }
@@ -225,10 +230,17 @@ func (t *Table) WriteWords(r *rng.Source, dst, src []uint32) int {
 	dst = dst[:len(src)]
 	s0, s1, s2, s3 := r.State()
 	total := 0
-	for i, w := range src {
-		var iters int
-		dst[i], iters, s0, s1, s2, s3 = t.writeWord(w, s0, s1, s2, s3)
-		total += iters
+	var iters int
+	if t.levelMask == 3 {
+		for i, w := range src {
+			dst[i], iters, s0, s1, s2, s3 = t.writeWord4(w, s0, s1, s2, s3)
+			total += iters
+		}
+	} else {
+		for i, w := range src {
+			dst[i], iters, s0, s1, s2, s3 = t.writeWord(w, s0, s1, s2, s3)
+			total += iters
+		}
 	}
 	r.SetState(s0, s1, s2, s3)
 	return total
@@ -238,31 +250,69 @@ func (t *Table) WriteWords(r *rng.Source, dst, src []uint32) int {
 // the four xoshiro256** words and returns them advanced by the word's
 // 2·cells draws, so they stay in registers across the cell loop (and,
 // through WriteWords, across a batch) instead of being loaded from and
-// stored to memory on every draw.
+// stored to memory on every draw. It serves every level count; 4-level
+// cells take writeWord4, which draws the same stream.
 //
 //memlint:hotpath
 func (t *Table) writeWord(w uint32, s0, s1, s2, s3 uint64) (uint32, int, uint64, uint64, uint64, uint64) {
-	resPfx, itersPfx := t.resPfx, t.itersPfx
+	pfx := t.pfx
 	bits, mask := t.bitsPerCell, t.levelMask
 	var stored uint32
 	var k uint64
 	total := 0
 	for shift := uint(0); shift < 32; shift += bits {
 		level := w >> shift & mask
+		row := uint(level) << 9
 		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
 		k >>= 11
-		i := uint(resPfx[level][uint8(k>>45)])
+		i := uint(pfx[row|uint(k>>45)])
 		if i >= scanPfx {
 			i = scanThresholds(t.resThr[level], i, k)
 		}
 		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
 		k >>= 11
-		j := uint(itersPfx[level][uint8(k>>45)])
+		j := uint(pfx[row|256|uint(k>>45)])
 		if j >= scanPfx {
 			j = scanThresholds(t.itersThr[level], j, k)
 		}
 		stored |= uint32(i) << shift
 		total += int(j) + 1
+	}
+	return stored, total, s0, s1, s2, s3
+}
+
+// writeWord4 is writeWord for 4-level (2-bit) cells, the configuration
+// of every sortd job and every paper figure but the density ablation.
+// It draws the same stream in the same order and differs only in loop
+// mechanics: x carries the word above a sentinel bit and loses one cell
+// per iteration, so the loop needs no counter; masking the index with
+// 4<<9-1 both extracts the level and proves the index in range, so no
+// bounds check is emitted; each read-back level is shifted in from the
+// top, so after 16 cells the first sits at bit 0; and total starts at
+// the 16 pulses every cell pays before its sampled extra ones.
+//
+//memlint:hotpath
+func (t *Table) writeWord4(w uint32, s0, s1, s2, s3 uint64) (uint32, int, uint64, uint64, uint64, uint64) {
+	pfx := (*[4 << 9]uint16)(t.pfx)
+	var stored uint32
+	var k uint64
+	total := 16
+	for x := uint64(w) | 1<<32; x != 1; x >>= 2 {
+		row := uint(x) << 9
+		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+		k >>= 11
+		i := uint(pfx[(row|uint(k>>45))&(4<<9-1)])
+		if i >= scanPfx {
+			i = scanThresholds(t.resThr[x&3], i, k)
+		}
+		k, s0, s1, s2, s3 = rng.Step(s0, s1, s2, s3)
+		k >>= 11
+		j := uint(pfx[(row|256|uint(k>>45))&(4<<9-1)])
+		if j >= scanPfx {
+			j = scanThresholds(t.itersThr[x&3], j, k)
+		}
+		stored = stored>>2 | uint32(i)<<30
+		total += int(j)
 	}
 	return stored, total, s0, s1, s2, s3
 }

@@ -77,11 +77,11 @@ func straddlingDraws(t *Table, r *rng.Source, w uint32) int {
 	mask := uint32(t.p.Levels - 1)
 	n := 0
 	for shift := uint(0); shift < 32; shift += bits {
-		level := w >> shift & mask
-		if t.resPfx[level][uint8(r.Uint64()>>56)] >= scanPfx {
+		row := uint(w>>shift&mask) << 9
+		if t.pfx[row|uint(r.Uint64()>>56)] >= scanPfx {
 			n++
 		}
-		if t.itersPfx[level][uint8(r.Uint64()>>56)] >= scanPfx {
+		if t.pfx[row|256|uint(r.Uint64()>>56)] >= scanPfx {
 			n++
 		}
 	}
@@ -122,5 +122,65 @@ func checkWriteWordsMatchFloat(t *testing.T, tab *Table) {
 	}
 	if !reflect.DeepEqual(rBatch, rFloat) {
 		t.Fatalf("L=%d T=%g: RNG streams diverged across WriteWords batches", p.Levels, p.T)
+	}
+}
+
+// TestWriteWord4MatchesGeneric pins the 4-level cell loop against the
+// generic one on the same table: at every T of the regression grid (plus
+// the model's extremes), for random words, writeWord4 must return the
+// same stored word and pulse total and leave the RNG in the same state
+// as writeWord, word by word. WriteWords, which takes the 4-level loop
+// for these tables, must match per-word generic sampling for empty,
+// single-word, odd-length and full-chunk batches.
+func TestWriteWord4MatchesGeneric(t *testing.T) {
+	for _, T := range []float64{0.01, 0.03, 0.055, 0.1, MaxT} {
+		tab := NewTable(Approximate(T), 4000, CalibrationSeed)
+		if tab.Params().Levels != 4 {
+			t.Fatalf("T=%g: table has %d levels, want 4", T, tab.Params().Levels)
+		}
+		words := rng.New(0x4c0de)
+		g0, g1, g2, g3 := rng.New(0x5eed).State()
+		f0, f1, f2, f3 := g0, g1, g2, g3
+		for i := 0; i < 100000; i++ {
+			w := uint32(words.Uint64())
+			var gotV, wantV uint32
+			var gotN, wantN int
+			gotV, gotN, f0, f1, f2, f3 = tab.writeWord4(w, f0, f1, f2, f3)
+			wantV, wantN, g0, g1, g2, g3 = tab.writeWord(w, g0, g1, g2, g3)
+			if gotV != wantV || gotN != wantN {
+				t.Fatalf("T=%g word %d (%#x): 4-level (%#x, %d) != generic (%#x, %d)",
+					T, i, w, gotV, gotN, wantV, wantN)
+			}
+			if f0 != g0 || f1 != g1 || f2 != g2 || f3 != g3 {
+				t.Fatalf("T=%g word %d (%#x): RNG states diverged", T, i, w)
+			}
+		}
+
+		rBatch := rng.New(0xba7c4)
+		g0, g1, g2, g3 = rBatch.State()
+		for _, size := range []int{0, 1, 7, 256, 1, 0, 256, 7} {
+			src := make([]uint32, size)
+			for i := range src {
+				src[i] = uint32(words.Uint64())
+			}
+			dst := make([]uint32, size)
+			gotTotal := tab.WriteWords(rBatch, dst, src)
+			wantTotal := 0
+			for i, w := range src {
+				var wantV uint32
+				var n int
+				wantV, n, g0, g1, g2, g3 = tab.writeWord(w, g0, g1, g2, g3)
+				if dst[i] != wantV {
+					t.Fatalf("T=%g batch of %d, word %d: stored %#x, generic %#x", T, size, i, dst[i], wantV)
+				}
+				wantTotal += n
+			}
+			if gotTotal != wantTotal {
+				t.Fatalf("T=%g batch of %d: total %d, generic %d", T, size, gotTotal, wantTotal)
+			}
+			if s0, s1, s2, s3 := rBatch.State(); s0 != g0 || s1 != g1 || s2 != g2 || s3 != g3 {
+				t.Fatalf("T=%g batch of %d: RNG states diverged", T, size)
+			}
+		}
 	}
 }
