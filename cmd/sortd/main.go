@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	queue := fs.Int("queue", 64, "bounded job-queue depth (full => 429)")
 	pilot := fs.Int("pilot", 0, "planner pilot sample size (0 = default 4096)")
 	maxN := fs.Int("maxn", 8<<20, "largest accepted input size")
-	retain := fs.Int("retain", 4096, "finished job records kept for GET /v1/jobs")
+	retain := fs.Int("retain", 4096, "finished job records kept for GET /v1/jobs; each holds a return_keys job's sorted output (4 bytes per key), never its input")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	shards := fs.String("shards", "", "comma-separated shard sortd URLs; enables the /v1/sort/sharded coordinator")
 	tenantInflight := fs.Int("tenant-inflight", 2, "concurrent sharded sorts allowed per tenant")

@@ -25,9 +25,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,7 +53,10 @@ type Config struct {
 	// MaxN bounds accepted input sizes (default 8M keys).
 	MaxN int
 	// RetainJobs caps how many finished job records are kept for
-	// GET /v1/jobs (default 4096; oldest evicted first).
+	// GET /v1/jobs (default 4096; oldest evicted first). A record keeps
+	// its result, never its input: an in-memory return_keys job holds its
+	// sorted output (about 4n bytes for n keys), any other record under
+	// 1 KB. Retained outputs still scale as RetainJobs × 4n.
 	RetainJobs int
 	// MaxBodyBytes bounds a request body (default 64 MB, enough for a
 	// maxReturnKeys inline array with JSON overhead).
@@ -126,6 +131,7 @@ type Server struct {
 	jobsTotal    *CounterVec   // backend, algorithm, mode, status
 	jobLatency   *HistogramVec // backend, algorithm, mode
 	queueRejects *Counter
+	jobPanics    *Counter
 
 	// External-sort (streaming job) counters.
 	extsortRecords     *Counter
@@ -164,6 +170,8 @@ func New(cfg Config) *Server {
 		DefaultLatencyBuckets, "backend", "algorithm", "mode")
 	s.queueRejects = m.Counter("sortd_queue_rejected_total",
 		"Jobs rejected with 429 because the queue was full.")
+	s.jobPanics = m.Counter("sortd_job_panics_total",
+		"Jobs failed because their execution panicked (the daemon keeps serving).")
 	s.extsortRecords = m.Counter("sortd_extsort_records_total",
 		"Records sorted by completed streaming (external-sort) jobs.")
 	s.extsortRuns = m.Counter("sortd_extsort_runs_total",
@@ -415,19 +423,15 @@ func (s *Server) runJob(job *Job) {
 	job.StartedAt = start.UTC()
 	s.mu.Unlock()
 
-	var res *JobResult
-	var err error
-	switch job.Kind {
-	case KindStream:
-		res, err = s.executeStream(job)
-	case KindSharded:
-		res, err = s.executeSharded(job)
-	default:
-		res, err = execute(job.spec, s.cfg.PilotSize)
-	}
+	res, err := s.execJob(job)
 
 	elapsed := time.Since(start) //nolint:detrand // wall-clock by design: feeds the latency histogram only
 	s.mu.Lock()
+	// A terminal record keeps its result, never its input: the spec of
+	// an inline job holds the decoded key array, which nothing reads
+	// again and which would otherwise stay live for RetainJobs records.
+	tenant := job.spec.Tenant
+	job.spec = nil
 	job.FinishedAt = time.Now().UTC() //nolint:detrand // wall-clock by design: job timestamps are service metadata
 	mode := job.Mode
 	if res != nil {
@@ -454,11 +458,33 @@ func (s *Server) runJob(job *Job) {
 
 	s.inflight.Add(-1)
 	if job.Kind == KindSharded {
-		s.releaseTenant(job.spec.Tenant)
+		s.releaseTenant(tenant)
 	}
 	s.jobsTotal.With(job.Backend, job.Algorithm, mode, status).Inc()
 	s.jobLatency.With(job.Backend, job.Algorithm, mode).Observe(elapsed.Seconds())
 	close(job.done)
+}
+
+// execJob runs job's executor on the calling worker. A panic there fails
+// the job instead of the process: its stack is logged, it is counted in
+// sortd_job_panics_total, and runJob's terminal bookkeeping runs as for
+// any other failure.
+func (s *Server) execJob(job *Job) (res *JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.jobPanics.Inc()
+			slog.Error("sortd: job panicked", "job", job.ID, "panic", p, "stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	switch job.Kind {
+	case KindStream:
+		return s.executeStream(job)
+	case KindSharded:
+		return s.executeSharded(job)
+	default:
+		return execute(job.spec, s.cfg.PilotSize)
+	}
 }
 
 // retainLocked appends a terminal job to the retention ring, evicting the

@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"approxsort/internal/dataset"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -529,4 +532,66 @@ func grepMetrics(metrics, substr string) string {
 	}
 	sort.Strings(out)
 	return strings.Join(out, "\n")
+}
+
+// TestJobPanicFailsJobOnly pins panic containment: a job whose execution
+// panics on the worker goroutine fails with an error naming the panic,
+// while the daemon keeps serving. The terminal bookkeeping still runs:
+// the record is retained, ?wait returns, the inflight gauge drops back,
+// a streaming job's files are removed, and the panic is counted.
+func TestJobPanicFailsJobOnly(t *testing.T) {
+	const panicSeed = 13
+	s, ts := streamServer(t, Config{Workers: 1, QueueDepth: 4})
+	// A job without a resolved backend dereferences a nil interface as
+	// soon as its executor starts: a genuine runtime panic.
+	s.testHookBeforeExec = func(j *Job) {
+		if j.spec.Seed == panicSeed {
+			j.spec.backend = nil
+		}
+	}
+	keys := dataset.Uniform(3000, 1)
+	for _, tc := range []struct {
+		kind   string
+		submit func(seed uint64) *http.Response
+	}{
+		{"sort", func(seed uint64) *http.Response {
+			return postJSON(t, ts.URL+"/v1/sort?wait=1", JobSpec{
+				Inline: Inline{Keys: keys}, Common: Common{Mode: ModePrecise, Seed: seed},
+			})
+		}},
+		{"stream", func(seed uint64) *http.Response {
+			return postOctet(t, fmt.Sprintf("%s/v1/sort/stream?wait=1&mode=precise&seed=%d", ts.URL, seed), encodeKeys(keys))
+		}},
+	} {
+		kind := tc.kind
+		job := decodeJob(t, tc.submit(panicSeed))
+		if job.Status != StatusFailed || !strings.Contains(job.Error, "panicked") ||
+			!strings.Contains(job.Error, "nil pointer") {
+			t.Fatalf("%s: panicking job = %q %q, want failed naming the panic", kind, job.Status, job.Error)
+		}
+		s.mu.Lock()
+		dir := s.jobs[job.ID].dir
+		s.mu.Unlock()
+		if dir != "" {
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("%s: failed job's dir %s survived: %v", kind, dir, err)
+			}
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decodeJob(t, resp); got.Status != StatusFailed {
+			t.Errorf("%s: retained record status = %q", kind, got.Status)
+		}
+		if job := decodeJob(t, tc.submit(panicSeed+1)); job.Status != StatusDone {
+			t.Fatalf("%s: job after the panic = %q %q, want done", kind, job.Status, job.Error)
+		}
+	}
+	metrics := fetchMetrics(t, ts.URL)
+	for _, want := range []string{"sortd_job_panics_total 2", "sortd_jobs_inflight 0"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepMetrics(metrics, "sortd_job"))
+		}
+	}
 }
