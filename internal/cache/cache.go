@@ -15,7 +15,10 @@ import (
 // LineBytes is the cache line size used throughout (64 B).
 const LineBytes = 64
 
-// Cache is one set-associative, LRU, write-through cache level.
+// Cache is one set-associative, LRU, write-through cache level. It is a
+// value type: a Hierarchy holds its three levels inline, and a hybrid
+// system holds its Hierarchy inline, so a lookup reaches the tag store
+// without chasing a pointer per level.
 //
 // The tag store is one flat array: set s owns lines[s*ways:(s+1)*ways],
 // ordered most- to least-recently used. An entry holds tag+1, so 0 marks
@@ -23,19 +26,16 @@ const LineBytes = 64
 // a fill enters at the front and shifts the rest back. Sets are indexed
 // with shift/mask, which is why the set count must be a power of two.
 type Cache struct {
-	ways    int
-	sets    int
 	setBits uint   // log2(sets)
 	setMask uint64 // sets - 1
+	ways    int
 	lines   []uint32
-	hits    uint64
-	misses  uint64
 }
 
 // New returns a cache of the given total size and associativity with
 // 64-byte lines. It panics if the geometry is inconsistent or the set
 // count is not a power of two (programming error).
-func New(sizeBytes, ways int) *Cache {
+func New(sizeBytes, ways int) Cache {
 	if sizeBytes <= 0 || ways <= 0 || sizeBytes%(ways*LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
 	}
@@ -43,17 +43,16 @@ func New(sizeBytes, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets (size=%d ways=%d) is not a power of two", sets, sizeBytes, ways))
 	}
-	return &Cache{
-		ways:    ways,
-		sets:    sets,
+	return Cache{
 		setBits: uint(bits.TrailingZeros(uint(sets))),
 		setMask: uint64(sets - 1),
+		ways:    ways,
 		lines:   make([]uint32, sets*ways),
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -72,6 +71,28 @@ func (c *Cache) lookup(addr uint64) ([]uint32, uint32) {
 	return c.lines[base : base+c.ways], uint32(tag) + 1
 }
 
+// HitMRU reports whether addr's line is its set's most recently used
+// line; the cache is unchanged either way. It is the inlinable fast path
+// of Access and Touch, which return true with no reordering for exactly
+// these addresses.
+func (c *Cache) HitMRU(addr uint64) bool {
+	line := addr / LineBytes
+	tag := line >> c.setBits
+	return tag < math.MaxUint32 && c.lines[int(line&c.setMask)*c.ways] == uint32(tag)+1
+}
+
+// touch moves key to the front of set if present, reporting whether it
+// was.
+func touch(set []uint32, key uint32) bool {
+	for i, e := range set {
+		if e == key {
+			promote(set, i)
+			return true
+		}
+	}
+	return false
+}
+
 // promote moves set[i] to the front, shifting set[:i] back one way.
 func promote(set []uint32, i int) {
 	e := set[i]
@@ -81,36 +102,17 @@ func promote(set []uint32, i int) {
 	set[0] = e
 }
 
-// HitMRU reports whether addr's line is its set's most recently used
-// line, counting the hit if so; on false the cache is unchanged. It is
-// the inlinable fast path of Access, which would return true with no
-// reordering for exactly these addresses.
-func (c *Cache) HitMRU(addr uint64) bool {
-	line := addr / LineBytes
-	tag := line >> c.setBits
-	if tag >= math.MaxUint32 || c.lines[int(line&c.setMask)*c.ways] != uint32(tag)+1 {
-		return false
-	}
-	c.hits++
-	return true
-}
-
 // Access looks up addr, allocating the line (and evicting LRU) on a miss.
 // It returns true on hit.
 //
 //memlint:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	set, key := c.lookup(addr)
-	for i, e := range set {
-		if e == key {
-			promote(set, i)
-			c.hits++
-			return true
-		}
+	if touch(set, key) {
+		return true
 	}
 	// Fill at the front; the last way (the LRU line, or an empty way
 	// while the set is filling) drops off.
-	c.misses++
 	promote(set, len(set)-1)
 	set[0] = key
 	return false
@@ -122,20 +124,8 @@ func (c *Cache) Access(addr uint64) bool {
 //memlint:hotpath
 func (c *Cache) Touch(addr uint64) bool {
 	set, key := c.lookup(addr)
-	for i, e := range set {
-		if e == key {
-			promote(set, i)
-			return true
-		}
-	}
-	return false
+	return touch(set, key)
 }
-
-// Hits returns the hit count.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the miss count.
-func (c *Cache) Misses() uint64 { return c.misses }
 
 // Level access latencies. Table 1 specifies only the L3 latency (10 ns);
 // the L1/L2 values are the conventional magnitudes for those sizes and
@@ -147,14 +137,15 @@ const (
 )
 
 // Hierarchy is the three-level write-through hierarchy of Table 1.
+// Its levels are held by value (see Cache).
 type Hierarchy struct {
-	L1, L2, L3 *Cache
+	L1, L2, L3 Cache
 }
 
 // NewHierarchy returns the Table 1 configuration: 32 KB 8-way L1,
 // 2 MB 4-way L2, 32 MB 8-way L3.
-func NewHierarchy() *Hierarchy {
-	return &Hierarchy{
+func NewHierarchy() Hierarchy {
+	return Hierarchy{
 		L1: New(32<<10, 8),
 		L2: New(2<<20, 4),
 		L3: New(32<<20, 8),
@@ -165,6 +156,8 @@ func NewHierarchy() *Hierarchy {
 // accumulated latency, or level 0 when the access misses everywhere and
 // must go to memory (the returned latency then counts the traversal cost
 // of all three levels).
+//
+//memlint:hotpath
 func (h *Hierarchy) Read(addr uint64) (level int, nanos float64) {
 	if h.L1.Access(addr) {
 		return 1, L1Nanos
@@ -181,8 +174,18 @@ func (h *Hierarchy) Read(addr uint64) (level int, nanos float64) {
 // Write services a store under write-through/no-write-allocate: present
 // lines refresh their recency, nothing is allocated, and the store always
 // proceeds to memory (the caller forwards it to the PCM simulator).
+// Each level's MRU check is inlined, so a store whose line is most
+// recently used everywhere makes no call.
+//
+//memlint:hotpath
 func (h *Hierarchy) Write(addr uint64) {
-	h.L1.Touch(addr)
-	h.L2.Touch(addr)
-	h.L3.Touch(addr)
+	if !h.L1.HitMRU(addr) {
+		h.L1.Touch(addr)
+	}
+	if !h.L2.HitMRU(addr) {
+		h.L2.Touch(addr)
+	}
+	if !h.L3.HitMRU(addr) {
+		h.L3.Touch(addr)
+	}
 }

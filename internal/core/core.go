@@ -103,11 +103,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-func (c Config) newSpace() Space {
+func (c Config) newSpace() Space { return c.spaceAt(c.Seed ^ 0x517cc1b727220a95) }
+
+// spaceAt builds the approximate space on the noise stream seeded with
+// seed.
+func (c Config) spaceAt(seed uint64) Space {
 	if c.NewSpace != nil {
-		return c.NewSpace(c.Seed ^ 0x517cc1b727220a95)
+		return c.NewSpace(seed)
 	}
-	return mem.NewApproxSpaceAt(c.T, c.Seed^0x517cc1b727220a95)
+	return mem.NewApproxSpaceAt(c.T, seed)
 }
 
 // StageBreakdown records the memory traffic one pipeline stage generated

@@ -147,7 +147,7 @@ func (e ExtConfig) checked() (ExtConfig, error) {
 
 // bound offers no pruning: the external contest compares whole
 // geometries, which a pilot-free bound does not capture.
-func (ExtConfig) bound(AlphaFunc, int) float64 { return math.Inf(-1) }
+func (ExtConfig) bound(AlphaFunc, int, float64) float64 { return math.Inf(-1) }
 
 // price plans an out-of-core sort of ext.N records from one candidate's
 // pilot and returns its predicted External.TotalWrites: each candidate

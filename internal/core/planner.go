@@ -70,8 +70,9 @@ type Geometry interface {
 	// check validates the geometry and returns it with defaults applied.
 	check() (Geometry, error)
 	// bound is a lower bound on price's cost for a candidate whatever its
-	// pilot measures, or −Inf when the geometry offers none.
-	bound(alpha AlphaFunc, n int) float64
+	// pilot measures, given that the pilot's p is at least floor, or −Inf
+	// when the geometry offers none.
+	bound(alpha AlphaFunc, n int, floor float64) float64
 	// price evaluates the geometry for one piloted candidate over an
 	// n-record sample.
 	price(pi pilot, n int) (plan Plan, cost float64)
@@ -96,7 +97,11 @@ type InMemory struct{}
 // is not piloted: candidates are evaluated in ascending order of
 // autoCostBound, and one is skipped when its bound already exceeds the
 // best cost found, or equals it and the candidate comes later in the
-// roster. A skipped candidate's pilot errors therefore go unreported.
+// roster. The
+// bound prices p at the write floor of the approximate space the first
+// pilot built (every candidate's pilot builds the same kind), or at 0
+// before any pilot has run. A skipped candidate's pilot errors therefore
+// go unreported.
 func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candidate) (Plan, error) {
 	if len(candidates) == 0 {
 		return Plan{}, errors.New("core: the planner needs at least one candidate algorithm")
@@ -122,8 +127,10 @@ func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candida
 		if err != nil {
 			return Plan{}, err
 		}
-		alphas[i], bounds[i], order[i] = alpha, geo.bound(alpha, n), i
+		alphas[i], bounds[i], order[i] = alpha, geo.bound(alpha, n, 0), i
 	}
+	// The bound is nondecreasing in α(n) at any floor, so this order is
+	// also ascending once the floor is known.
 	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
 
 	// best is the lexicographic minimum of (cost, roster index) so far;
@@ -131,8 +138,9 @@ func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candida
 	// exactly as in a roster-order first-strict-minimum scan.
 	var best Plan
 	bestCost, bestIdx := math.Inf(1), -1
+	floor := 0.0
 	for _, i := range order {
-		if bounds[i] > bestCost || bounds[i] == bestCost && i > bestIdx { //nolint:floatord // a bound and a cost from the same CostModel expressions; ties are exact
+		if bound := geo.bound(alphas[i], n, floor); bound > bestCost || bound == bestCost && i > bestIdx { //nolint:floatord // a bound and a cost from the same CostModel expressions; ties are exact
 			continue
 		}
 		cfg.Algorithm = candidates[i].Alg
@@ -140,6 +148,7 @@ func (pl Planner) Plan(sample []uint32, geo Geometry, candidates []sorts.Candida
 		if err != nil {
 			return Plan{}, fmt.Errorf("core: pilot of %s: %w", candidates[i].Alg.Name(), err)
 		}
+		floor = pi.floor
 		plan, cost := geo.price(pi, n)
 		if cost < bestCost || cost == bestCost && i < bestIdx { //nolint:floatord // exact tie-break: equal costs go to the earlier roster entry
 			bestCost, bestIdx = cost, i
@@ -159,12 +168,14 @@ func (pl Planner) PlanAuto(keys []uint32, candidates []sorts.Candidate) (Plan, e
 }
 
 // pilot is one candidate's pilot measurement: the measured p(t) and
-// Rem~/m over an m-record sample, with the candidate's write model.
-// Below two records nothing is measured: p = 1 and the ratio is 1.
+// Rem~/m over an m-record sample, with the candidate's write model, and
+// the write floor of the approximate space it ran on (see writeFloor).
+// Below two records nothing is measured: p = 1, the ratio is 1 and the
+// floor is 0.
 type pilot struct {
-	p, ratio float64
-	m        int
-	alpha    AlphaFunc
+	p, ratio, floor float64
+	m               int
+	alpha           AlphaFunc
 }
 
 // runPilot runs cfg's approx-refine over an even-spread sample of m
@@ -179,6 +190,14 @@ func runPilot(sample []uint32, m int, cfg Config, alpha AlphaFunc) (pilot, error
 	pi := pilot{p: 1, ratio: 1, m: m, alpha: alpha}
 	if m < 2 {
 		return pi, nil
+	}
+	// Read the floor off the space the run builds; the seed it receives
+	// already carries newSpace's derivation, so the run is unchanged.
+	build := cfg
+	cfg.NewSpace = func(seed uint64) Space {
+		s := build.spaceAt(seed)
+		pi.floor = writeFloor(s)
+		return s
 	}
 	res, err := Run(pilotSample(sample, m), cfg)
 	if err != nil {
@@ -230,7 +249,9 @@ func (pi pilot) plan(L int) Plan {
 
 func (InMemory) check() (Geometry, error) { return InMemory{}, nil }
 
-func (InMemory) bound(alpha AlphaFunc, n int) float64 { return autoCostBound(alpha, n) }
+func (InMemory) bound(alpha AlphaFunc, n int, floor float64) float64 {
+	return autoCostBound(alpha, n, floor)
+}
 
 func (InMemory) price(pi pilot, n int) (Plan, float64) {
 	// Below two pilot records there is nothing to learn from; the hybrid
@@ -247,15 +268,35 @@ func (InMemory) price(pi pilot, n int) (Plan, float64) {
 }
 
 // autoCostBound is a lower bound on the in-memory cost of a candidate
-// with write model alpha at size n, whatever its pilot measures:
-// min(BaselineWrites(n), HybridWrites(n, 0) at p = 0). It holds exactly
-// in floating point. The baseline arm does not depend on the pilot. Every
-// term of the hybrid arm is at least the matching term at p = 0 and
-// Rem~ = 0, because p ≥ 0, Rem~ ≥ 0, α ≥ 0 and α(0) = 0 for every
+// with write model alpha at size n, whatever its pilot measures as long
+// as the measured p is at least floor: min(BaselineWrites(n),
+// HybridWrites(n, 0) at p = floor). It holds exactly in floating point.
+// The baseline arm does not depend on the pilot. Every term of the
+// hybrid arm is at least the matching term at p = floor and Rem~ = 0,
+// because p ≥ floor ≥ 0, Rem~ ≥ 0, α ≥ 0 and α(0) = 0 for every
 // registered profile; the terms are summed in the same order, and
 // rounding is monotone.
-func autoCostBound(alpha AlphaFunc, n int) float64 {
-	return math.Min(CostModel{Alpha: alpha}.BaselineWrites(n), CostModel{Alpha: alpha}.HybridWrites(n, 0))
+func autoCostBound(alpha AlphaFunc, n int, floor float64) float64 {
+	return math.Min(CostModel{Alpha: alpha}.BaselineWrites(n), CostModel{P: floor, Alpha: alpha}.HybridWrites(n, 0))
+}
+
+// writeFloor returns a p that no pilot on space s can measure below, or
+// 0 when s reports no floor. A space with a MinWriteNanos method charges
+// every word write at least that latency, so the exact mean write
+// latency over any writes is at least MinWriteNanos/PreciseWriteNanos.
+// The measured p (measuredPilotP) is that mean after about ten
+// floating-point roundings: the fold's latency formula, the stage
+// subtraction and sum, and the two divisions. Each rounds by at most a
+// relative 2^-53, so the measurement is within a relative 1e-14 of the
+// exact mean; the floor is nudged down by a relative 1e-9, far beyond
+// that, and p ≥ floor holds in floating point. A lower floor only
+// weakens the bound: it can cost a pilot, never change the plan.
+func writeFloor(s Space) float64 {
+	f, ok := s.(interface{ MinWriteNanos() float64 })
+	if !ok {
+		return 0
+	}
+	return f.MinWriteNanos() / mlc.PreciseWriteNanos * (1 - 1e-9)
 }
 
 // pilotSample draws an m-element even-spread sample: element i comes from

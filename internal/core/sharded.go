@@ -56,7 +56,7 @@ func (s ShardConfig) check() (Geometry, error) {
 }
 
 // bound offers no pruning, as for ExtConfig.
-func (ShardConfig) bound(AlphaFunc, int) float64 { return math.Inf(-1) }
+func (ShardConfig) bound(AlphaFunc, int, float64) float64 { return math.Inf(-1) }
 
 // ShardedPlan is the multi-node verdict: how many shards to fan out
 // over, the cross-shard merge shape, and the predicted write budgets

@@ -22,10 +22,12 @@ import (
 )
 
 // System is the hybrid memory system: caches plus a region-split PCM
-// device sharing one CPU clock.
+// device sharing one CPU clock. The hierarchy and the device are held by
+// value, so an access reaches the tag stores and the write rings through
+// the system pointer alone.
 type System struct {
-	hier  *cache.Hierarchy
-	dev   *pcm.Sim
+	hier  cache.Hierarchy
+	dev   pcm.Sim
 	clock float64
 	next  uint64 // next free region base
 

@@ -113,6 +113,10 @@ func (s *ApproxSpace) ResetStats() { s.base = s.rawTotal() }
 // Approximate implements Space.
 func (s *ApproxSpace) Approximate() bool { return true }
 
+// MinWriteNanos returns the least latency one word write can cost: one
+// P&V pulse per cell, about 1/ReferenceAvgP of a precise write.
+func (s *ApproxSpace) MinWriteNanos() float64 { return s.fold.MinWriteNanos() }
+
 type approxWords struct {
 	space *ApproxSpace
 	// sink caches the space's sink (nil when untraced) so the hot path

@@ -116,6 +116,16 @@ func (f Fold) Stats(raw Raw) Stats {
 	return st
 }
 
+// MinWriteNanos is the least latency the recipe can charge one word
+// write: under pulse-count costing one P&V pulse per cell (every cell
+// write issues at least one), otherwise the fixed per-write latency.
+func (f Fold) MinWriteNanos() float64 {
+	if f.PulseCells > 0 {
+		return mlc.WordLatencyNanos(f.PulseCells, f.PulseCells)
+	}
+	return f.WriteNanos
+}
+
 // Stats accumulates the access accounting for an array or a space.
 type Stats struct {
 	// Reads and Writes count word accesses.

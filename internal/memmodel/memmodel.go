@@ -101,9 +101,11 @@ type Identities struct {
 	// WriteNanos — the MLC model, where both are proportional to the P&V
 	// pulse count.
 	EnergyTracksLatency bool
-	// PulsePerWrite asserts Iters ≥ Writes: every P&V write issues at
-	// least one pulse (MLC).
-	PulsePerWrite bool
+	// PulsesPerWrite, when positive, asserts Iters ≥ Writes ×
+	// PulsesPerWrite: every P&V write issues at least one pulse per cell
+	// (MLC: the word's cell count). The planner's write floor rests on
+	// it (core.Planner.Plan).
+	PulsesPerWrite int
 	// FixedWriteLatency asserts WriteNanos == Writes × PreciseWriteNanos:
 	// approximate writes save energy, not time (spintronic).
 	FixedWriteLatency bool

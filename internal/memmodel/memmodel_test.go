@@ -172,7 +172,7 @@ func TestSplitPointMatchesLegacyDerivations(t *testing.T) {
 
 func TestIdentitiesPerBackend(t *testing.T) {
 	id := MustGet(PCMMLC).Identities(Point{})
-	if !id.EnergyTracksLatency || !id.PulsePerWrite || id.FixedWriteLatency || id.EnergyPerWrite != 0 {
+	if !id.EnergyTracksLatency || id.PulsesPerWrite != 16 || id.FixedWriteLatency || id.EnergyPerWrite != 0 {
 		t.Errorf("pcm-mlc identities = %+v", id)
 	}
 	b := MustGet(SpintronicName)
@@ -181,7 +181,7 @@ func TestIdentitiesPerBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	id = b.Identities(pt)
-	if !id.FixedWriteLatency || id.EnergyTracksLatency || id.PulsePerWrite {
+	if !id.FixedWriteLatency || id.EnergyTracksLatency || id.PulsesPerWrite != 0 {
 		t.Errorf("spintronic identities = %+v", id)
 	}
 	saving := 0.33

@@ -61,7 +61,7 @@ func TestMemristiveIdentities(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := b.Identities(pt)
-	if !id.FixedWriteLatency || id.EnergyTracksLatency || id.PulsePerWrite {
+	if !id.FixedWriteLatency || id.EnergyTracksLatency || id.PulsesPerWrite != 0 {
 		t.Errorf("memristive identities = %+v, want fixed-latency only", id)
 	}
 	if id.EnergyPerWrite != 0.6 {

@@ -77,7 +77,7 @@ func (mlcBackend) SortOnlySeeds(pointSeed uint64) (uint64, uint64) {
 }
 
 func (mlcBackend) Identities(Point) Identities {
-	return Identities{EnergyTracksLatency: true, PulsePerWrite: true}
+	return Identities{EnergyTracksLatency: true, PulsesPerWrite: mlc.Precise().CellsPerWord()}
 }
 
 func (b mlcBackend) ApproxWriteNanos(pt Point) float64 {

@@ -136,6 +136,10 @@ func (s *Space) ResetStats() { s.base = s.rawTotal() }
 // Approximate implements mem.Space.
 func (s *Space) Approximate() bool { return true }
 
+// MinWriteNanos returns the least latency one word write can cost: every
+// write takes the fixed precise latency.
+func (s *Space) MinWriteNanos() float64 { return s.fold.MinWriteNanos() }
+
 // failMask draws the set of cells whose switch fails on one word write:
 // each of the 32 bit positions fails independently with SwitchFailProb,
 // sampled by geometric skipping so the common failure-free case costs a

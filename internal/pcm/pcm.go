@@ -1,6 +1,6 @@
 // Package pcm is the main-memory timing simulator of the paper's Table 1:
-// a PCM device with 4 ranks of 8 banks, a 32-entry write queue and an
-// 8-entry read queue per bank, and read-priority scheduling. It models the
+// a PCM device with 4 ranks of 8 banks, a 32-entry write queue per bank,
+// and read-priority scheduling. It models the
 // CPU-visible cost of the access stream that misses (reads) or writes
 // through (stores) the cache hierarchy:
 //
@@ -10,6 +10,10 @@
 //     occupying its bank (writes are not preempted mid-flight) but jumps
 //     ahead of all *queued* writes — read-priority scheduling — pushing
 //     those writes back.
+//
+// Table 1 also gives each bank an 8-entry read queue. It is not modelled:
+// the CPU blocks on every load, so at most one read is ever outstanding
+// and a read queue of any depth never fills.
 //
 // Banks are interleaved at page granularity (Table 1: 4 KB pages). Write
 // service time is supplied per request so precise and approximate regions
@@ -25,8 +29,9 @@ import (
 type Config struct {
 	// Ranks and BanksPerRank give the bank-level parallelism.
 	Ranks, BanksPerRank int
-	// WriteQueueDepth and ReadQueueDepth are per-bank queue capacities.
-	WriteQueueDepth, ReadQueueDepth int
+	// WriteQueueDepth is the per-bank write queue capacity, a power of
+	// two. There is no read queue depth (see the package comment).
+	WriteQueueDepth int
 	// PageBytes is the bank-interleaving granularity.
 	PageBytes int
 	// ReadNanos is the array-read service time.
@@ -42,13 +47,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table 1 parameters: 4 ranks × 8 banks, 4 KB
-// pages, 32-entry write and 8-entry read queues, 50 ns reads.
+// pages, 32-entry write queues, 50 ns reads.
 func DefaultConfig() Config {
 	return Config{
 		Ranks:           4,
 		BanksPerRank:    8,
 		WriteQueueDepth: 32,
-		ReadQueueDepth:  8,
 		PageBytes:       4096,
 		ReadNanos:       50,
 	}
@@ -59,8 +63,8 @@ func (c Config) Validate() error {
 	if c.Ranks < 1 || c.BanksPerRank < 1 {
 		return fmt.Errorf("pcm: need at least one bank, got %d×%d", c.Ranks, c.BanksPerRank)
 	}
-	if c.WriteQueueDepth < 1 || c.ReadQueueDepth < 1 {
-		return fmt.Errorf("pcm: queue depths must be positive (%d, %d)", c.WriteQueueDepth, c.ReadQueueDepth)
+	if d := c.WriteQueueDepth; d < 1 || d&(d-1) != 0 {
+		return fmt.Errorf("pcm: WriteQueueDepth = %d is not a positive power of two", d)
 	}
 	if banks := c.Ranks * c.BanksPerRank; banks&(banks-1) != 0 {
 		return fmt.Errorf("pcm: %d banks (%d×%d) is not a power of two", banks, c.Ranks, c.BanksPerRank)
@@ -87,17 +91,21 @@ type write struct {
 	dur   float64
 }
 
-// bank holds the per-bank schedule: pending writes (FIFO, already laid out
-// back-to-back in time) in a fixed-capacity ring of WriteQueueDepth
-// entries, and the open row.
+// bank is one bank's queue state: its queued stores are the n entries
+// of its ring segment starting at head (wrapping), oldest first, already
+// laid out back-to-back in time, so they also complete in ring order.
+//
+// Completed stores are dropped lazily: a store posted to a queue with
+// room needs no count, because a completed last store ends at or before
+// now and so cannot delay the new one. Every decision that does depend
+// on the count (a full queue, a read's in-service check, QueueDepth)
+// prunes first. The CPU clock never runs backwards, so a late prune drops
+// exactly the stores an eager one would have.
 type bank struct {
-	// ring[head], ring[head+1], … (mod len(ring)) are the n scheduled,
-	// not yet known-complete stores, oldest first.
-	ring    []write
-	head, n int
 	// lastPage tracks the open row for the sequential-write discount;
 	// ^0 means no row open yet.
 	lastPage uint64
+	head, n  uint32
 }
 
 // Stats summarizes a simulation.
@@ -121,31 +129,43 @@ type Stats struct {
 // Sim is the device simulator. It is driven by a monotonically
 // non-decreasing CPU clock supplied by the caller. Not safe for
 // concurrent use.
+//
+// Sim is a value type, so a hybrid system holds it inline. Every bank's
+// write queue lives in one ring array: bank b owns the WriteQueueDepth
+// entries from b<<depthBits, and its i-th oldest store sits at
+// b<<depthBits | (head+i)&depthMask.
 type Sim struct {
-	cfg       Config
 	pageShift uint   // log2(PageBytes)
 	bankMask  uint64 // banks - 1
+	depthBits uint   // log2(WriteQueueDepth)
+	depthMask uint32 // WriteQueueDepth - 1
+	readNanos float64
+	seqFactor float64
+	ring      []write
 	banks     []bank
 	stats     Stats
 }
 
 // New returns a simulator for cfg. It panics on invalid configuration
-// (programming error). Every bank's write ring is carved from one
-// backing array.
-func New(cfg Config) *Sim {
+// (programming error).
+func New(cfg Config) Sim {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nb, depth := cfg.Ranks*cfg.BanksPerRank, cfg.WriteQueueDepth
-	s := &Sim{
-		cfg:       cfg,
+	s := Sim{
 		pageShift: uint(bits.TrailingZeros(uint(cfg.PageBytes))),
 		bankMask:  uint64(nb - 1),
+		depthBits: uint(bits.TrailingZeros(uint(depth))),
+		depthMask: uint32(depth - 1),
+		readNanos: cfg.ReadNanos,
+		ring:      make([]write, nb*depth),
 		banks:     make([]bank, nb),
 	}
-	rings := make([]write, nb*depth)
+	if f := cfg.SeqWriteFactor; f > 0 && f < 1 {
+		s.seqFactor = f
+	}
 	for i := range s.banks {
-		s.banks[i].ring = rings[i*depth : (i+1)*depth : (i+1)*depth]
 		s.banks[i].lastPage = ^uint64(0)
 	}
 	return s
@@ -156,23 +176,19 @@ func (s *Sim) Bank(addr uint64) int {
 	return int(addr >> s.pageShift & s.bankMask)
 }
 
-// at returns the i-th oldest queued store.
-func (b *bank) at(i int) *write {
-	i += b.head
-	if i >= len(b.ring) {
-		i -= len(b.ring)
-	}
-	return &b.ring[i]
+// queue returns bank b's state and its ring segment.
+func (s *Sim) queue(b uint64) (*bank, []write) {
+	lo := b << s.depthBits
+	return &s.banks[b], s.ring[lo : lo+uint64(s.depthMask)+1]
 }
 
 // prune drops queue entries that completed at or before now.
-func (b *bank) prune(now float64) {
-	for b.n > 0 && b.ring[b.head].start+b.ring[b.head].dur <= now {
-		b.head++
-		if b.head == len(b.ring) {
-			b.head = 0
-		}
-		b.n--
+//
+//memlint:hotpath
+func (s *Sim) prune(bk *bank, q []write, now float64) {
+	for bk.n > 0 && q[bk.head].start+q[bk.head].dur <= now {
+		bk.head = (bk.head + 1) & s.depthMask
+		bk.n--
 	}
 }
 
@@ -183,31 +199,33 @@ func (b *bank) prune(now float64) {
 //memlint:hotpath
 func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
 	page := addr >> s.pageShift
-	b := &s.banks[page&s.bankMask]
-	b.prune(now)
-	if f := s.cfg.SeqWriteFactor; f > 0 && f < 1 && page == b.lastPage {
-		durNanos *= f
+	bk, q := s.queue(page & s.bankMask)
+	if s.seqFactor > 0 && page == bk.lastPage {
+		durNanos *= s.seqFactor
 		s.stats.SeqWriteHits++
 	}
-	b.lastPage = page
-	if b.n == len(b.ring) {
+	bk.lastPage = page
+	if int(bk.n) == len(q) {
+		s.prune(bk, q, now)
+	}
+	if int(bk.n) == len(q) {
 		// Stall until the oldest queued store drains.
 		s.stats.WriteQueueFullEvents++
-		oldest := b.ring[b.head]
+		oldest := q[bk.head]
 		release := oldest.start + oldest.dur
 		s.stats.WriteStallNanos += release - now
 		now = release
-		b.prune(now)
+		s.prune(bk, q, now)
 	}
 	start := now
-	if b.n > 0 {
-		last := b.at(b.n - 1)
+	if bk.n > 0 {
+		last := q[(bk.head+bk.n-1)&s.depthMask]
 		if tail := last.start + last.dur; tail > start {
 			start = tail
 		}
 	}
-	*b.at(b.n) = write{start: start, dur: durNanos}
-	b.n++
+	q[(bk.head+bk.n)&s.depthMask] = write{start: start, dur: durNanos}
+	bk.n++
 	s.stats.Writes++
 	return now
 }
@@ -220,26 +238,26 @@ func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
 //memlint:hotpath
 func (s *Sim) Read(addr uint64, now float64) float64 {
 	page := addr >> s.pageShift
-	b := &s.banks[page&s.bankMask]
-	b.prune(now)
+	bk, q := s.queue(page & s.bankMask)
+	s.prune(bk, q, now)
 	// Reads open the row too, closing any sequential write streak.
-	b.lastPage = page
+	bk.lastPage = page
 	start := now
-	pending := 0 // index of the first store that has not begun service
-	if b.n > 0 && b.ring[b.head].start < now {
+	pending := uint32(0) // index of the first store that has not begun service
+	if bk.n > 0 && q[bk.head].start < now {
 		// A store is mid-service; it cannot be preempted.
 		s.stats.ReadsDelayedByWrite++
-		start = b.ring[b.head].start + b.ring[b.head].dur
+		start = q[bk.head].start + q[bk.head].dur
 		pending = 1
 	}
-	done := start + s.cfg.ReadNanos
+	done := start + s.readNanos
 	// The read jumps ahead of every not-yet-started store: push them
 	// back (uniformly, preserving their back-to-back layout) so the
 	// first resumes when the read finishes.
-	if pending < b.n && b.at(pending).start < done {
-		shift := done - b.at(pending).start
-		for j := pending; j < b.n; j++ {
-			b.at(j).start += shift
+	if first := &q[(bk.head+pending)&s.depthMask]; pending < bk.n && first.start < done {
+		shift := done - first.start
+		for j := pending; j < bk.n; j++ {
+			q[(bk.head+j)&s.depthMask].start += shift
 		}
 	}
 	s.stats.Reads++
@@ -253,7 +271,7 @@ func (s *Sim) Stats() Stats { return s.stats }
 // QueueDepth returns the number of stores pending in addr's bank at time
 // now — exposed for tests.
 func (s *Sim) QueueDepth(addr uint64, now float64) int {
-	b := &s.banks[s.Bank(addr)]
-	b.prune(now)
-	return b.n
+	bk, q := s.queue(uint64(s.Bank(addr)))
+	s.prune(bk, q, now)
+	return int(bk.n)
 }

@@ -10,10 +10,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Ranks: 0, BanksPerRank: 8, WriteQueueDepth: 1, ReadQueueDepth: 1, PageBytes: 4096, ReadNanos: 50},
-		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 0, ReadQueueDepth: 1, PageBytes: 4096, ReadNanos: 50},
-		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 1, ReadQueueDepth: 1, PageBytes: 1, ReadNanos: 50},
-		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 1, ReadQueueDepth: 1, PageBytes: 4096, ReadNanos: 0},
+		{Ranks: 0, BanksPerRank: 8, WriteQueueDepth: 1, PageBytes: 4096, ReadNanos: 50},
+		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 0, PageBytes: 4096, ReadNanos: 50},
+		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 1, PageBytes: 1, ReadNanos: 50},
+		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 1, PageBytes: 4096, ReadNanos: 0},
+		{Ranks: 4, BanksPerRank: 8, WriteQueueDepth: 3, PageBytes: 4096, ReadNanos: 50},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

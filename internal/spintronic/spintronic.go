@@ -138,6 +138,10 @@ func (s *Space) ResetStats() { s.base = s.rawTotal() }
 // Approximate implements mem.Space.
 func (s *Space) Approximate() bool { return true }
 
+// MinWriteNanos returns the least latency one word write can cost: every
+// write takes the fixed precise latency.
+func (s *Space) MinWriteNanos() float64 { return s.fold.MinWriteNanos() }
+
 // corrupt flips each of v's 32 bits independently with probability p
 // (whose ln(1−p) is passed precomputed), using geometric skipping so the
 // common error-free case costs a single uniform draw.

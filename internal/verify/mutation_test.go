@@ -16,6 +16,8 @@ import (
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
 	"approxsort/internal/mem"
+	"approxsort/internal/memmodel"
+	"approxsort/internal/mlc"
 	"approxsort/internal/rng"
 	"approxsort/internal/sortedness"
 	"approxsort/internal/sorts"
@@ -235,6 +237,53 @@ func TestMutationIsCaught(t *testing.T) {
 	for _, code := range []string{"oracle-diff", "not-permutation", "merge-writes"} {
 		if !hasCode(rep, code) {
 			t.Errorf("expected violation %q, got %v", code, rep.Violations)
+		}
+	}
+}
+
+// pulseCharge wraps a word model and charges every word write a fixed
+// pulse count instead of the model's own.
+type pulseCharge struct {
+	mlc.WordModel
+	iters int
+}
+
+func (m pulseCharge) WriteWord(r *rng.Source, w uint32) (uint32, int) {
+	stored, _ := m.WordModel.WriteWord(r, w)
+	return stored, m.iters
+}
+
+// TestPulseFloorMutationIsCaught pins the accounting identity the
+// planner's write floor rests on: a pcm-mlc run charged fewer than one
+// pulse per cell fails approx-accounting, and the same run charged
+// exactly one per cell passes.
+func TestPulseFloorMutationIsCaught(t *testing.T) {
+	keys := dataset.Uniform(mutationN, 99)
+	table := mlc.CachedTable(mlc.Approximate(mutationT), 0, mlc.CalibrationSeed)
+	cells := table.CellsPerWord()
+	id := memmodel.MustGet(memmodel.PCMMLC).Identities(memmodel.Point{})
+	if id.PulsesPerWrite != cells {
+		t.Fatalf("pcm-mlc identities assert %d pulses per write, want one per cell (%d)", id.PulsesPerWrite, cells)
+	}
+	for _, tc := range []struct {
+		iters int
+		ok    bool
+	}{{cells, true}, {cells - 1, false}} {
+		model := pulseCharge{WordModel: table, iters: tc.iters}
+		res, err := core.Run(keys, core.Config{
+			Algorithm: sorts.MSD{Bits: 6},
+			NewSpace:  func(s uint64) core.Space { return mem.NewApproxSpace(model, s) },
+			Seed:      mutationSeed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := CheckRefineRun(keys, res, id)
+		if tc.ok && !rep.OK() {
+			t.Errorf("%d pulses per word: %v", tc.iters, rep.Violations)
+		}
+		if !tc.ok && !hasCode(rep, "approx-accounting") {
+			t.Errorf("%d pulses per word (%d cells): want approx-accounting, got %v", tc.iters, cells, rep.Violations)
 		}
 	}
 }

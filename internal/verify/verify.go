@@ -350,10 +350,10 @@ func checkApproxStats(rep *Report, stage string, s mem.Stats, id memmodel.Identi
 			"approx-accounting", "%s approx WriteEnergy %g does not track WriteNanos %g",
 			stage, s.WriteEnergy, s.WriteNanos)
 	}
-	if id.PulsePerWrite {
-		rep.check(s.Iters >= s.Writes,
-			"approx-accounting", "%s approx issued %d pulses for %d writes (P&V needs ≥ 1 each)",
-			stage, s.Iters, s.Writes)
+	if c := id.PulsesPerWrite; c > 0 {
+		rep.check(s.Iters >= s.Writes*c,
+			"approx-accounting", "%s approx issued %d pulses for %d writes (P&V needs ≥ %d each, one per cell)",
+			stage, s.Iters, s.Writes, c)
 	}
 	if id.FixedWriteLatency {
 		rep.check(closeEnough(s.WriteNanos, float64(s.Writes)*mlc.PreciseWriteNanos),
