@@ -19,9 +19,10 @@ import (
 
 // ShardError is the typed failure of one shard interaction: which node,
 // which stage of the shard's lifecycle (submit, poll, job, output,
-// table), and the underlying cause. A killed or unreachable shard
-// surfaces as a ShardError, never as a hang — every request runs under
-// the caller's context.
+// table, or panic for a panic under the shard's goroutine), and the
+// underlying cause. A killed or unreachable shard surfaces as a
+// ShardError, never as a hang — every request runs under the caller's
+// context.
 type ShardError struct {
 	Node  string
 	Stage string
@@ -80,8 +81,8 @@ func EncodeQuery(v any) url.Values {
 
 // DecodeQuery sets the fields of the struct v points to from q, by the
 // names EncodeQuery writes. Keys v has no field for, and empty values,
-// are ignored; a malformed value is an error naming its key. Map values
-// must be finite, as in a JSON body.
+// are ignored; a malformed value is an error naming its key. Float
+// values must be finite, as in a JSON body.
 func DecodeQuery(q url.Values, v any) error {
 	return queryFields(reflect.ValueOf(v), func(name string, f reflect.Value) error {
 		if f.Kind() == reflect.Map {
@@ -93,10 +94,7 @@ func DecodeQuery(q url.Values, v any) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				x, err := strconv.ParseFloat(q.Get(k), 64)
-				if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
-					err = errors.New("not a finite number")
-				}
+				x, err := parseFinite(q.Get(k))
 				if err != nil {
 					return fmt.Errorf("bad %s: %v", k, err)
 				}
@@ -133,7 +131,7 @@ func DecodeQuery(q url.Values, v any) error {
 			f.SetUint(n)
 		case reflect.Float64:
 			var x float64
-			x, err = strconv.ParseFloat(s, 64)
+			x, err = parseFinite(s)
 			f.SetFloat(x)
 		}
 		if err != nil {
@@ -141,6 +139,15 @@ func DecodeQuery(q url.Values, v any) error {
 		}
 		return nil
 	})
+}
+
+// parseFinite parses a float that a JSON body could also carry.
+func parseFinite(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return x, err
 }
 
 // queryFields calls fn on each JSON-named field of the struct v holds or

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"strings"
@@ -624,10 +625,91 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
-	for _, bad := range []string{"x", "NaN", "-Inf"} {
-		err := cluster.DecodeQuery(map[string][]string{"params.saving": {bad}}, &got)
-		if err == nil || !strings.Contains(err.Error(), "bad params.saving") {
-			t.Errorf("params.saving=%s: err = %v", bad, err)
+	for _, key := range []string{"params.saving", "t"} {
+		for _, bad := range []string{"x", "NaN", "-Inf"} {
+			err := cluster.DecodeQuery(map[string][]string{key: {bad}}, &got)
+			if err == nil || !strings.Contains(err.Error(), "bad "+key) {
+				t.Errorf("%s=%s: err = %v", key, bad, err)
+			}
 		}
 	}
+}
+
+// panicOnSubmit is a transport that panics on a shard job submission, as
+// a bug anywhere under a shard goroutine would.
+type panicOnSubmit struct{}
+
+func (panicOnSubmit) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/sort/stream") {
+		panic("transport fault on submit")
+	}
+	return nil, fmt.Errorf("unexpected %s %s", r.Method, r.URL)
+}
+
+// TestCoordinatorShardPanicFailsSort pins that a panic in a per-shard
+// goroutine fails the sort with that shard's error instead of killing
+// the process.
+func TestCoordinatorShardPanicFailsSort(t *testing.T) {
+	co, err := cluster.New(cluster.Config{
+		Nodes:      []string{"http://shard-a.invalid", "http://shard-b.invalid"},
+		Job:        cluster.JobParams{Mode: "hybrid", T: 0.07, Seed: 9},
+		MemBudget:  1 << 11,
+		TempDir:    t.TempDir(),
+		HTTP:       &http.Client{Transport: panicOnSubmit{}},
+		NewAuditor: auditorHook,
+		WrapShard:  verify.WrapShards(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = co.Sort(ctx, bytes.NewReader(encode(dataset.Uniform(20000, 11))), io.Discard)
+	var se *cluster.ShardError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is %T (%v), want *cluster.ShardError", err, err)
+	}
+	if se.Stage != "panic" || !strings.Contains(se.Error(), "transport fault on submit") {
+		t.Errorf("ShardError = %v, want stage panic naming the panic value", se)
+	}
+}
+
+// FuzzQueryCodec holds the octet-upload query codec to two properties:
+// no query string makes DecodeQuery panic, and any JobParams it decodes
+// survives EncodeQuery and a second decode unchanged, through the wire
+// form the coordinator sends.
+func FuzzQueryCodec(f *testing.F) {
+	f.Add(cluster.EncodeQuery(&cluster.JobParams{
+		Algorithm: "onesweep-lsd", Bits: 8, Mode: "hybrid", Backend: "spintronic",
+		Params: map[string]float64{"saving": 0.5, "bit_error_prob": 1e-5},
+		T:      0.0625, Seed: 1<<64 - 1, RunSize: 4096, FanIn: 8, Formation: "chunk", RefineAtMerge: true,
+	}).Encode())
+	for _, s := range []string{
+		"", "params.saving=x", "params.saving=NaN", "params.saving=-Inf", "params.=1",
+		"t=NaN", "t=+Inf", "t=-0", "t=0x1p-2", "bits=+5", "bits=x", "seed=-1",
+		"seed=18446744073709551616", "run_size=1.5", "refine_at_merge=T",
+		"refine_at_merge=maybe", "mode=hybrid&mode=precise", "algorithm=a%20b&params.a.b=2",
+		"tenant=a&max_shards=x&warm_tables=x&bits=", "%zz", "a=1;b=2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw)
+		var got cluster.JobParams
+		if cluster.DecodeQuery(q, &got) != nil {
+			return
+		}
+		wire := cluster.EncodeQuery(&got).Encode()
+		q2, err := url.ParseQuery(wire)
+		if err != nil {
+			t.Fatalf("%q: encoded %q does not parse: %v", raw, wire, err)
+		}
+		var again cluster.JobParams
+		if err := cluster.DecodeQuery(q2, &again); err != nil {
+			t.Fatalf("%q: encoded %q does not decode: %v", raw, wire, err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("%q: round trip through %q:\n got %+v\nwant %+v", raw, wire, again, got)
+		}
+	})
 }

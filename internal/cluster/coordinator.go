@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 
 	"approxsort/internal/core"
@@ -451,10 +453,18 @@ func (co *Coordinator) runShards(ctx context.Context, dir string, plan core.Plan
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer func() {
+				// A panic under one shard fails that shard, not the
+				// process: the sort fails as for any shard error.
+				if p := recover(); p != nil {
+					slog.Error("cluster: shard goroutine panicked", "node", shards[i].Node, "shard", i, "panic", p, "stack", string(debug.Stack()))
+					errs[i] = &ShardError{Node: shards[i].Node, Stage: "panic", Err: fmt.Errorf("%v", p)}
+				}
+				if errs[i] != nil {
+					cancel() // release the siblings promptly
+				}
+			}()
 			errs[i] = co.runShard(ctx, dir, i, job, &shards[i])
-			if errs[i] != nil {
-				cancel() // release the siblings promptly
-			}
 		}(i)
 	}
 	wg.Wait()

@@ -298,9 +298,14 @@ func (s *Server) handleSubmit(kind string) http.HandlerFunc {
 				return
 			}
 		} else {
-			dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(spec.fields(kind)); err != nil {
+			body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+			var err error
+			if kind == KindSort {
+				err = decodeSortBody(body, min(r.ContentLength, s.cfg.MaxBodyBytes), spec)
+			} else {
+				err = decodeSpec(body, kind, spec)
+			}
+			if err != nil {
 				var tooLarge *http.MaxBytesError
 				code := http.StatusBadRequest
 				if errors.As(err, &tooLarge) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -299,6 +300,22 @@ func TestSortShardedBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative max_shards: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUploadRejectsNonFiniteT pins that an octet upload's query cannot
+// set a NaN half-width, which no JSON body can carry: such a job used to
+// run at T = NaN and answer 200 with an empty body, because its record
+// did not encode.
+func TestUploadRejectsNonFiniteT(t *testing.T) {
+	_, url := shardFleet(t, 1, Config{Workers: 1, QueueDepth: 4})
+	keys := encodeKeys(dataset.Uniform(10, 1))
+	for _, route := range []string{"/v1/sort/stream", "/v1/sort/sharded"} {
+		resp := postOctet(t, url+route+"?wait=1&t=NaN", keys)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "bad t: not a finite number") {
+			t.Errorf("%s t=NaN: status %d, body %q; want 400 naming t", route, resp.StatusCode, body)
+		}
 	}
 }
 
