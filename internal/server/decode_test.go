@@ -204,9 +204,9 @@ func TestDecodeSortBodyFastPath(t *testing.T) {
 }
 
 // TestDecodeSortBodyLimit pins the body limit through the handler's own
-// reader: a body over the limit is 413 unless its first value ended
-// before the limit, which decodes as it did before the body was read
-// whole.
+// reader: a body over the limit fails with *http.MaxBytesError (the
+// handler's 413) unless its first value ended before the limit, which
+// decodes, as json.Decoder alone decoded it.
 func TestDecodeSortBodyLimit(t *testing.T) {
 	body := `{"keys":[2,1]}` + strings.Repeat(" ", 64)
 	var spec JobSpec
