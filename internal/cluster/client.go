@@ -35,6 +35,10 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
+// StagePanic is the ShardError stage of a panic recovered under a shard's
+// goroutine.
+const StagePanic = "panic"
+
 // JobParams are the sort parameters a shard job is submitted with: the
 // octet-stream form of POST /v1/sort/stream, under the names of its JSON
 // body. Backend, Params and T are forwarded unchanged, so each shard

@@ -458,7 +458,7 @@ func (co *Coordinator) runShards(ctx context.Context, dir string, plan core.Plan
 				// process: the sort fails as for any shard error.
 				if p := recover(); p != nil {
 					slog.Error("cluster: shard goroutine panicked", "node", shards[i].Node, "shard", i, "panic", p, "stack", string(debug.Stack()))
-					errs[i] = &ShardError{Node: shards[i].Node, Stage: "panic", Err: fmt.Errorf("%v", p)}
+					errs[i] = &ShardError{Node: shards[i].Node, Stage: StagePanic, Err: fmt.Errorf("%v", p)}
 				}
 				if errs[i] != nil {
 					cancel() // release the siblings promptly

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 )
 
 // decodeSpec decodes a JSON request body into kind's view of spec
@@ -19,16 +20,18 @@ func decodeSpec(r io.Reader, kind string, spec *JobSpec) error {
 
 // decodeSortBody decodes a POST /v1/sort JSON body with decodeSpec's
 // result and error. sizeHint (the Content-Length, or below zero when
-// unknown) presizes the one buffer the body is read into.
+// unknown) presizes, up to maxPresize, the one buffer the body is read
+// into. The body is read to its end (or the limit) before any of it is
+// parsed, where json.Decoder stopped reading once its first value ended.
 //
-// A body whose top-level object has exactly one member named exactly
-// "keys", an array of plain decimal uint32s, has that array parsed in
-// place; every other member is copied to a residual object that
-// decodeSpec decodes. Anything else — a read error such as the body
-// limit, a name that needs escapes, non-ASCII or case folding to match
-// "keys", a key element json would reject or that needs a conversion —
-// and any residual that fails, is decodeSpec over the same bytes, so
-// the fast path never has to reproduce encoding/json's errors.
+// A body whose object opens with the member "keys", spelled exactly and
+// holding plain decimal uint32s, has that array parsed in place; the
+// rest of the object is the residual that decodeSpec decodes. Anything
+// else — a read error such as the body limit, another first member, a
+// key element json would reject or that needs a conversion, a rest that
+// might name "keys" again — and any residual that fails, is decodeSpec
+// over the same bytes, so the fast path never has to reproduce
+// encoding/json's errors.
 func decodeSortBody(r io.Reader, sizeHint int64, spec *JobSpec) error {
 	body, rerr := readBody(r, sizeHint)
 	if rerr == nil {
@@ -54,17 +57,25 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// readBody reads r to EOF into one buffer of sizeHint+1 bytes (the +1
-// lets the final read see EOF without growing it), returning what was
-// read and the first error other than io.EOF.
+// maxPresize caps the buffer readBody allocates from a size hint before
+// any byte arrives: the hint is the client's claimed Content-Length, and
+// a request that claims the body limit and then stalls must not hold that
+// much. A 50k-key default request (~0.55 MB) fits in one buffer; a larger
+// body grows the buffer by doubling as its bytes arrive.
+const maxPresize = 1 << 20
+
+// readBody reads r to EOF into one buffer presized to sizeHint+1 bytes,
+// capped at maxPresize (the +1 lets the final read see EOF without
+// growing it), returning what was read and the first error other than
+// io.EOF.
 func readBody(r io.Reader, sizeHint int64) ([]byte, error) {
 	if sizeHint < 0 {
 		sizeHint = 512
 	}
-	buf := make([]byte, 0, sizeHint+1)
+	buf := make([]byte, 0, min(sizeHint+1, maxPresize))
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			buf = slices.Grow(buf, cap(buf))
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -77,71 +88,52 @@ func readBody(r io.Reader, sizeHint int64) ([]byte, error) {
 	}
 }
 
-// splitKeys parses a body's top-level object, taking its one member
-// named exactly "keys" as a []uint32 and copying every other member,
-// byte for byte, into residual. ok is false for any body it does not
-// take whole (see decodeSortBody); bytes after the object are ignored,
-// as json.Decoder ignores them.
+// splitKeys cuts a leading "keys" member out of a body's top-level
+// object: the keys, and the residual object of the members after it (and
+// any bytes after the object, which decodeSpec ignores as it ignores
+// them in the whole body). ok is false for any body it does not take
+// (see decodeSortBody).
 func splitKeys(b []byte) (keys []uint32, residual []byte, ok bool) {
 	i := skipSpace(b, 0)
 	if i == len(b) || b[i] != '{' {
 		return nil, nil, false
 	}
-	residual = append(make([]byte, 0, 256), '{')
-	seen := false
-	for i = skipSpace(b, i+1); i < len(b) && b[i] == '"'; {
-		start := i
-		for i++; i < len(b) && b[i] != '"'; i++ {
-			if c := b[i]; c == '\\' || c < 0x20 || c >= 0x80 {
-				return nil, nil, false
-			}
-		}
-		if i == len(b) {
-			return nil, nil, false
-		}
-		name := b[start+1 : i]
-		i = skipSpace(b, i+1)
-		if i == len(b) || b[i] != ':' {
-			return nil, nil, false
-		}
-		i = skipSpace(b, i+1)
-		switch {
-		case string(name) == "keys":
-			if seen {
-				return nil, nil, false
-			}
-			seen = true
-			if keys, i, ok = parseKeys(b, i); !ok {
-				return nil, nil, false
-			}
-		case bytes.EqualFold(name, []byte("keys")):
-			return nil, nil, false
-		default:
-			end, ok := skipValue(b, i)
-			if !ok {
-				return nil, nil, false
-			}
-			if len(residual) > 1 {
-				residual = append(residual, ',')
-			}
-			residual = append(residual, b[start:start+len(name)+2]...)
-			residual = append(residual, ':')
-			residual = append(residual, b[i:end]...)
-			i = end
-		}
-		i = skipSpace(b, i)
-		if i == len(b) {
-			return nil, nil, false
-		}
-		if b[i] == '}' && seen {
-			return keys, append(residual, '}'), true
-		}
-		if b[i] != ',' {
-			return nil, nil, false
-		}
-		i = skipSpace(b, i+1)
+	i = skipSpace(b, i+1)
+	if !bytes.HasPrefix(b[i:], []byte(`"keys"`)) {
+		return nil, nil, false
 	}
-	return nil, nil, false
+	if i = skipSpace(b, i+len(`"keys"`)); i == len(b) || b[i] != ':' {
+		return nil, nil, false
+	}
+	if keys, i, ok = parseKeys(b, skipSpace(b, i+1)); !ok {
+		return nil, nil, false
+	}
+	// The object closes here, or a comma leads to its next member.
+	if i = skipSpace(b, i); i < len(b) && b[i] == ',' {
+		if i = skipSpace(b, i+1); i == len(b) || b[i] != '"' {
+			return nil, nil, false
+		}
+	} else if i == len(b) || b[i] != '}' {
+		return nil, nil, false
+	}
+	if mayNameKeys(b[i:]) {
+		return nil, nil, false
+	}
+	return keys, append([]byte{'{'}, b[i:]...), true
+}
+
+// mayNameKeys reports whether b might hold a member name that
+// encoding/json matches to "keys", which would overwrite the keys parsed
+// first: an escape, a non-ASCII byte (json folds names, the Kelvin sign
+// and long s included) or a quoted "keys" in any ASCII case.
+func mayNameKeys(b []byte) bool {
+	for i, c := range b {
+		if c == '\\' || c >= 0x80 ||
+			c == '"' && i+5 < len(b) && b[i+5] == '"' && bytes.EqualFold(b[i+1:i+5], []byte("keys")) {
+			return true
+		}
+	}
+	return false
 }
 
 // parseKeys parses the array at b[i] when every element is a decimal
@@ -185,51 +177,6 @@ func parseKeys(b []byte, i int) ([]uint32, int, bool) {
 	return nil, 0, false
 }
 
-// skipValue returns the end of the JSON value at b[i]. It only delimits:
-// a string at its unescaped closing quote, an array or object at its
-// matching bracket, anything else as one run of literal bytes. Whether
-// the bytes are valid JSON is for the decoder that reads them to say.
-func skipValue(b []byte, i int) (int, bool) {
-	var open []byte // closing brackets owed, innermost last
-	for i < len(b) {
-		switch c := b[i]; c {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-			i++
-		case '{', '[':
-			open = append(open, c+2) // '{'+2 is '}', '['+2 is ']'
-			i++
-			continue
-		case '}', ']':
-			if len(open) == 0 || open[len(open)-1] != c {
-				return 0, false
-			}
-			open = open[:len(open)-1]
-			i++
-		default:
-			if len(open) > 0 {
-				i++
-				continue
-			}
-			start := i
-			for i < len(b) && isLiteral(b[i]) {
-				i++
-			}
-			if i == start {
-				return 0, false
-			}
-		}
-		if len(open) == 0 {
-			return i, i <= len(b)
-		}
-	}
-	return 0, false
-}
-
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
 		i++
@@ -238,8 +185,3 @@ func skipSpace(b []byte, i int) int {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// isLiteral reports a byte of a number, true, false or null.
-func isLiteral(c byte) bool {
-	return isDigit(c) || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '-' || c == '+' || c == '.'
-}

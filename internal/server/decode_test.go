@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -63,6 +64,11 @@ func FuzzDecodeSortBody(f *testing.F) {
 		"{\"keyſ\":[1]}",
 		`{"k\u0065ys":[1]}`,
 		`{"keys":[1],"k\u0065ys":[2]}`,
+		`{"keys":[1],"return_keys":true,"kEyS":[2]}`,
+		`{"keys":[1],"algorithm":"keys"}`,
+		`{"keys":[1],"seed":2} "keys"`,
+		`{"keys":[1] , }`,
+		`{"keys":[1],,"seed":2}`,
 		// Duplicates, null and empty arrays.
 		`{"keys":[1],"keys":[2]}`,
 		`{"keys":null}`,
@@ -170,8 +176,9 @@ func errText(err error) string {
 }
 
 // TestDecodeSortBodyFastPath pins which bodies take the one-pass parse:
-// the default request, in any member order and spacing, and not one the
-// reference decoder would have to fold, convert or reject.
+// the default request, which opens with its keys, in any spacing, and
+// not one the reference decoder would have to fold, convert or reject,
+// nor one whose later members might name the keys again.
 func TestDecodeSortBodyFastPath(t *testing.T) {
 	keys := dataset.Uniform(1000, 5)
 	for _, tc := range []struct {
@@ -180,8 +187,11 @@ func TestDecodeSortBodyFastPath(t *testing.T) {
 		fast bool
 	}{
 		{"perfbench", string(sortBody(t, keys)), true},
-		{"keys-last", `{"seed":3, "params":{"t":0.07}, "keys": [ 0, 7 ,4294967295 ] }`, true},
+		{"spaced", " {\n \"keys\" : [ 0, 7 ,4294967295 ] , \"seed\":3, \"params\":{\"t\":0.07} }", true},
 		{"trailing", `{"keys":[1]} {`, true},
+		{"keys-last", `{"seed":3,"keys":[1]}`, false},
+		{"named-again", `{"keys":[1],"algorithm":"KEYS"}`, false},
+		{"escape-after", `{"keys":[1],"algorithm":"a\"b"}`, false},
 		{"dataset", `{"dataset":{"n":10}}`, false},
 		{"folded", `{"Keys":[1]}`, false},
 		{"leading-zero", `{"keys":[01]}`, false},
@@ -219,6 +229,44 @@ func TestDecodeSortBodyLimit(t *testing.T) {
 	var tooLarge *http.MaxBytesError
 	if !errors.As(err, &tooLarge) {
 		t.Fatalf("value past the limit: err %v, want *http.MaxBytesError", err)
+	}
+}
+
+// TestDecodeSortBodyPresize pins that the buffer sized from a body's
+// claimed length is capped: a request that claims 64 MB and stalls after
+// a few bytes has allocated no more than maxPresize, and a body longer
+// than the cap still reads whole as its bytes arrive.
+func TestDecodeSortBodyPresize(t *testing.T) {
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	var before, stalled runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	go func() {
+		var spec JobSpec
+		done <- decodeSortBody(pr, 64<<20, &spec)
+	}()
+	// The write returns once the decode has read it, so its buffer exists.
+	if _, err := pw.Write([]byte(`{"keys":[`)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&stalled)
+	pw.CloseWithError(io.ErrUnexpectedEOF)
+	if err := <-done; !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("stalled body: err %v, want the read error", err)
+	}
+	if got := stalled.TotalAlloc - before.TotalAlloc; got > 2*maxPresize {
+		t.Errorf("a stalled body claiming 64 MB allocated %d bytes up front, want at most ~%d", got, maxPresize)
+	}
+
+	keys := dataset.Uniform(300000, 6)
+	body := sortBody(t, keys)
+	if len(body) <= 2*maxPresize {
+		t.Fatalf("body of %d bytes does not outgrow the presize", len(body))
+	}
+	var spec JobSpec
+	if err := decodeSortBody(iotest.HalfReader(bytes.NewReader(body)), int64(len(body)), &spec); err != nil || !reflect.DeepEqual(spec.Keys, keys) {
+		t.Errorf("body past the presize: err %v, %d keys", err, len(spec.Keys))
 	}
 }
 

@@ -473,7 +473,8 @@ func (s *Server) runJob(job *Job) {
 // execJob runs job's executor on the calling worker. A panic there fails
 // the job instead of the process: its stack is logged, it is counted in
 // sortd_job_panics_total, and runJob's terminal bookkeeping runs as for
-// any other failure.
+// any other failure. A sharded job whose coordinator recovered a panic in
+// a shard goroutine is counted there too.
 func (s *Server) execJob(job *Job) (res *JobResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -486,10 +487,22 @@ func (s *Server) execJob(job *Job) (res *JobResult, err error) {
 	case KindStream:
 		return s.executeStream(job)
 	case KindSharded:
-		return s.executeSharded(job)
+		res, err = s.executeSharded(job)
+		if shardPanicked(err) {
+			s.jobPanics.Inc()
+		}
+		return res, err
 	default:
 		return execute(job.spec, s.cfg.PilotSize)
 	}
+}
+
+// shardPanicked reports a sharded job failed by a panic that the cluster
+// coordinator recovered in one of its shard goroutines: it counts in
+// sortd_job_panics_total as a panic on the worker itself does.
+func shardPanicked(err error) bool {
+	var se *cluster.ShardError
+	return errors.As(err, &se) && se.Stage == cluster.StagePanic
 }
 
 // retainLocked appends a terminal job to the retention ring, evicting the

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
 	"approxsort/internal/mlc"
 	"approxsort/internal/sorts"
@@ -556,6 +559,27 @@ func TestSortShardedForwardsBackendParams(t *testing.T) {
 			if got := shard.Result.Params; !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: shard %d ran at %v, the job reports %v", form, i, got, want)
 			}
+		}
+	}
+}
+
+// TestShardPanicked pins which sharded failures count in
+// sortd_job_panics_total: a panic the coordinator recovered under a
+// shard goroutine (TestCoordinatorShardPanicFailsSort), however wrapped,
+// and no other shard failure.
+func TestShardPanicked(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{&cluster.ShardError{Node: "a", Stage: cluster.StagePanic, Err: errors.New("boom")}, true},
+		{fmt.Errorf("sort: %w", &cluster.ShardError{Node: "a", Stage: cluster.StagePanic, Err: errors.New("boom")}), true},
+		{&cluster.ShardError{Node: "a", Stage: "job", Err: errors.New("job panicked: boom")}, false},
+		{errors.New("panic"), false},
+		{nil, false},
+	} {
+		if got := shardPanicked(tc.err); got != tc.want {
+			t.Errorf("shardPanicked(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }
