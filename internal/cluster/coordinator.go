@@ -119,7 +119,7 @@ type Stats struct {
 	Plan *core.Plan `json:"plan,omitempty"`
 	// MergeWrites and MergeWriteNanos are the coordinator's final-pass
 	// ledger: the shard outputs are concatenated in range order, and
-	// that single cross pass is charged one precise write per record
+	// that copy is charged one precise write per record
 	// (MergeWrites == Records, MergeWriteNanos == Records ×
 	// mlc.PreciseWriteNanos), set only after the output audit passes.
 	MergeWrites     int64   `json:"merge_writes"`

@@ -233,6 +233,7 @@ func TestPlanShardedAutoPicksShortestCriticalPath(t *testing.T) {
 	if plan.Algorithm == "" || plan.Sharded == nil {
 		t.Fatalf("auto plan incomplete: %+v", plan)
 	}
+	checkShardedCosts(t, plan.Sharded, cfg.Ext.N)
 	for _, c := range cands {
 		p, err := pl.Plan(sample, cfg, []sorts.Candidate{c})
 		if err != nil {

@@ -10,10 +10,11 @@ import (
 // cluster coordinator range-partitions the input over S shard sortd
 // instances, each runs the single-node approx-refine external sort over
 // ~N/S records, and the coordinator streams the S sorted shard outputs
-// back in range order, a serial final pass of one precise write per
+// back in range order, a serial concatenation of one precise write per
 // record. Shards sort concurrently, so the predicted wall cost is the
-// per-shard critical path plus that cross pass; the planner picks the S
-// that minimizes it and reports the predicted speedup over S = 1.
+// per-shard critical path plus the partition and that copy; the planner
+// picks the S that minimizes it and reports the predicted speedup over
+// S = 1.
 
 // ShardConfig parameterizes the multi-node planner on top of an
 // ExtConfig describing each shard's local geometry.
@@ -25,16 +26,13 @@ type ShardConfig struct {
 	// MaxShards caps the candidate shard counts (the number of live
 	// sortd nodes the coordinator can reach). At least 1.
 	MaxShards int
-	// CrossFanIn, when positive, caps the coordinator's cross-shard
-	// merge fan-in below MaxShards (e.g. a socket budget); 0 means the
-	// coordinator can hold every shard stream open at once.
-	CrossFanIn int
-	// JobOverhead is the predicted fixed cost of one shard job in
-	// precise-write units (submission round trips, spool setup, table
-	// warm-up relay). Non-positive selects ExtBlockDefault. Charged S
-	// times when S > 1; a single-node sort bypasses the coordinator.
-	JobOverhead float64
 }
+
+// shardJobOverhead is the predicted fixed cost of one shard job in
+// precise-write units (submission round trips, spool setup, table
+// warm-up relay), priced at one I/O block. It is charged S times when
+// S > 1; a single-node sort bypasses the coordinator.
+const shardJobOverhead = float64(ExtBlockDefault)
 
 // check validates s and applies its defaults, the per-shard ExtConfig's
 // included.
@@ -49,9 +47,6 @@ func (s ShardConfig) check() (Geometry, error) {
 	if s.Ext, err = s.Ext.checked(); err != nil {
 		return nil, err
 	}
-	if s.JobOverhead <= 0 {
-		s.JobOverhead = float64(ExtBlockDefault)
-	}
 	return s, nil
 }
 
@@ -59,17 +54,13 @@ func (s ShardConfig) check() (Geometry, error) {
 func (ShardConfig) bound(AlphaFunc, int, float64) float64 { return math.Inf(-1) }
 
 // ShardedPlan is the multi-node verdict: how many shards to fan out
-// over, the cross-shard merge shape, and the predicted write budgets
-// that selected them. Write figures are equivalent precise word-writes.
+// over and the predicted write budgets that selected it. Write figures
+// are equivalent precise word-writes.
 type ShardedPlan struct {
 	// Shards is the chosen fan-out (1 means "stay single-node").
 	Shards int
 	// ShardRecords is the per-shard input ceiling, ceil(N/Shards).
 	ShardRecords int64
-	// CrossFanIn and CrossPasses describe the coordinator's merge of the
-	// Shards output streams (CrossPasses is 0 when Shards == 1).
-	CrossFanIn  int
-	CrossPasses int
 
 	// PerShard is the single-node external plan at ShardRecords — the
 	// geometry every shard job should be submitted with.
@@ -77,7 +68,8 @@ type ShardedPlan struct {
 
 	// ShardWrites is one shard's predicted total (the parallel critical
 	// path, shards being concurrent and balanced); CrossWrites is the
-	// coordinator's serial cross-merge cost (CrossPasses × N).
+	// coordinator's serial concatenation of the shard outputs in range
+	// order, one precise write per record (N when Shards > 1, else 0).
 	// PartitionWrites is the coordinator's range-partition pass — every
 	// record written once into a shard spool — plus the per-job
 	// overhead; both are zero at S = 1, where the sort runs directly.
@@ -96,8 +88,9 @@ type ShardedPlan struct {
 // candidate's pilot and returns its predicted critical path. For each
 // candidate S it prices the external geometry at the per-shard size
 // ceil(N/S) — smaller shards may flip the run-size or refine-at-merge
-// verdicts, not just scale them — prices the cross-shard merge at N
-// writes per cross pass, and keeps the S minimizing the critical path.
+// verdicts, not just scale them — prices the concatenation and the
+// range partition at N writes each, and keeps the S minimizing the
+// critical path.
 // The returned Plan carries both verdicts: External is the per-shard
 // geometry, Sharded the fan-out around it.
 func (cfg ShardConfig) price(pi pilot, n int) (Plan, float64) {
@@ -120,21 +113,10 @@ func (cfg ShardConfig) price(pi pilot, n int) (Plan, float64) {
 		p, _ := ext.price(pi, n)
 		per := p.External
 
-		crossFan := s
-		if cfg.CrossFanIn > 0 && crossFan > cfg.CrossFanIn {
-			crossFan = cfg.CrossFanIn
-		}
-		if crossFan < 2 {
-			crossFan = 2
-		}
-		crossPasses := 0
-		for c := int64(s); c > 1; c = (c + int64(crossFan) - 1) / int64(crossFan) {
-			crossPasses++
-		}
-		cross := float64(crossPasses) * float64(cfg.Ext.N)
-		partition := 0.0
+		cross, partition := 0.0, 0.0
 		if s > 1 {
-			partition = float64(cfg.Ext.N) + float64(s)*cfg.JobOverhead
+			cross = float64(cfg.Ext.N)
+			partition = float64(cfg.Ext.N) + float64(s)*shardJobOverhead
 		}
 		crit := per.TotalWrites + cross + partition
 		if s == 1 {
@@ -146,8 +128,6 @@ func (cfg ShardConfig) price(pi pilot, n int) (Plan, float64) {
 			best = ShardedPlan{
 				Shards:          s,
 				ShardRecords:    ext.N,
-				CrossFanIn:      crossFan,
-				CrossPasses:     crossPasses,
 				PerShard:        per,
 				ShardWrites:     per.TotalWrites,
 				CrossWrites:     cross,

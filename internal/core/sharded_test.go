@@ -17,11 +17,31 @@ func shardPlan(t *testing.T, cfg ShardConfig) Plan {
 	if plan.Sharded == nil || plan.External == nil {
 		t.Fatalf("sharded plan left a verdict nil: %+v", plan)
 	}
+	checkShardedCosts(t, plan.Sharded, cfg.Ext.N)
 	return plan
 }
 
+// checkShardedCosts pins the sharded cost identity: the critical path is
+// the sum of its three terms, and the concatenation of the shard outputs
+// costs one precise write per record when the sort fans out, none when
+// it stays on one node.
+func checkShardedCosts(t *testing.T, s *ShardedPlan, n int64) {
+	t.Helper()
+	if s.CriticalPath != s.ShardWrites+s.CrossWrites+s.PartitionWrites {
+		t.Fatalf("CriticalPath %g != Shard %g + Cross %g + Partition %g",
+			s.CriticalPath, s.ShardWrites, s.CrossWrites, s.PartitionWrites)
+	}
+	want := 0.0
+	if s.Shards > 1 {
+		want = float64(n)
+	}
+	if s.CrossWrites != want {
+		t.Fatalf("CrossWrites = %g at %d shards, want %g", s.CrossWrites, s.Shards, want)
+	}
+}
+
 func TestPlanShardedFansOutLargeInput(t *testing.T) {
-	// A cross-shard merge costs one extra N-write pass, but splitting
+	// Concatenating the shard outputs costs one extra N-write pass, but splitting
 	// 100M records across shards divides the whole per-shard pipeline,
 	// so the planner must fan out and predict a real speedup.
 	plan := shardPlan(t, ShardConfig{
@@ -35,19 +55,12 @@ func TestPlanShardedFansOutLargeInput(t *testing.T) {
 	if s.Speedup <= 1 {
 		t.Fatalf("Speedup = %g, want > 1", s.Speedup)
 	}
-	if s.CrossPasses < 1 {
-		t.Fatalf("CrossPasses = %d with %d shards", s.CrossPasses, s.Shards)
-	}
 	want := (int64(100_000_000) + int64(s.Shards) - 1) / int64(s.Shards)
 	if s.ShardRecords != want {
 		t.Fatalf("ShardRecords = %d, want ceil(N/S) = %d", s.ShardRecords, want)
 	}
 	if s.PerShard == nil || s.PerShard.N != want {
 		t.Fatalf("PerShard plan not at shard size: %+v", s.PerShard)
-	}
-	if s.CriticalPath != s.ShardWrites+s.CrossWrites+s.PartitionWrites {
-		t.Fatalf("CriticalPath %g != Shard %g + Cross %g + Partition %g",
-			s.CriticalPath, s.ShardWrites, s.CrossWrites, s.PartitionWrites)
 	}
 	if s.PartitionWrites < float64(100_000_000) {
 		t.Fatalf("PartitionWrites = %g, want at least one write per record", s.PartitionWrites)
@@ -63,7 +76,7 @@ func TestPlanShardedSingleShardStaysLocal(t *testing.T) {
 		MaxShards: 1,
 	})
 	s := plan.Sharded
-	if s.Shards != 1 || s.CrossPasses != 0 || s.CrossWrites != 0 {
+	if s.Shards != 1 || s.PartitionWrites != 0 {
 		t.Fatalf("MaxShards=1 plan fanned out: %+v", s)
 	}
 	if s.Speedup != 1 {
@@ -73,28 +86,13 @@ func TestPlanShardedSingleShardStaysLocal(t *testing.T) {
 
 func TestPlanShardedTinyInputDeclinesFanOut(t *testing.T) {
 	// When the whole input fits one in-memory run, sharding only adds a
-	// cross-merge pass; the planner must keep S = 1.
+	// partition and a concatenation; the planner must keep S = 1.
 	plan := shardPlan(t, ShardConfig{
 		Ext:       ExtConfig{N: 50_000, MemBudget: 1 << 17, Replacement: true},
 		MaxShards: 8,
 	})
 	if plan.Sharded.Shards != 1 {
 		t.Fatalf("Shards = %d for a single-run input, want 1", plan.Sharded.Shards)
-	}
-}
-
-func TestPlanShardedCrossFanInCap(t *testing.T) {
-	plan := shardPlan(t, ShardConfig{
-		Ext:        ExtConfig{N: 500_000_000, MemBudget: 1 << 17, Replacement: true},
-		MaxShards:  8,
-		CrossFanIn: 2,
-	})
-	s := plan.Sharded
-	if s.CrossFanIn != 2 {
-		t.Fatalf("CrossFanIn = %d, want cap 2", s.CrossFanIn)
-	}
-	if s.Shards > 2 && s.CrossPasses < 2 {
-		t.Fatalf("CrossPasses = %d for %d shards at fan-in 2", s.CrossPasses, s.Shards)
 	}
 }
 

@@ -7,10 +7,10 @@
 //
 // SortStream reads a stream of little-endian uint32 keys, forms sorted
 // runs on the hybrid precise/approximate system (internal/core), spills
-// them to temporary files, and k-way-merges them into the output with a
-// tournament tree. Three axes are independently configurable and — under
-// AutoPlan — chosen by the (M, B, ω) cost model (core.Planner.Plan,
-// DESIGN.md §14):
+// them to temporary files, and k-way-merges them into the output; one
+// monotone radix heap is the priority queue of both phases. Three axes
+// are independently configurable and — under AutoPlan — chosen by the
+// (M, B, ω) cost model (core.Planner.Plan, DESIGN.md §14):
 //
 //   - Run formation: replacement selection (the default; a radix heap
 //     over RunSize resident records assigns each incoming record to

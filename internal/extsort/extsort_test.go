@@ -689,41 +689,6 @@ func TestAutoPlanDeterministic(t *testing.T) {
 	}
 }
 
-// --- Tournament tree ---
-
-func TestTournamentTreeSelectsMinimum(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 8, 13, 64} {
-		keys := make([]uint64, k)
-		for i := range keys {
-			keys[i] = uint64((i*2654435761 + 7) % 1000)
-		}
-		tree := newTournamentTree(keys)
-		// Repeatedly pop the winner and replace it with ever-larger
-		// keys; the popped sequence must be non-decreasing and cover
-		// every replacement exactly once.
-		var last uint64
-		next := uint64(1000)
-		for i := 0; i < 5*k; i++ {
-			w := tree.winner()
-			got := tree.key[w]
-			if i > 0 && got < last {
-				t.Fatalf("k=%d: winner key %d after %d", k, got, last)
-			}
-			last = got
-			tree.update(w, next)
-			next++
-		}
-	}
-}
-
-func TestTournamentTreeTieBreaksByLeafIndex(t *testing.T) {
-	keys := []uint64{7, 3, 3, 9}
-	tree := newTournamentTree(keys)
-	if w := tree.winner(); w != 1 {
-		t.Fatalf("tie broke to leaf %d, want the lower index 1", w)
-	}
-}
-
 func ExampleSortStream() {
 	keys := []uint32{5, 3, 1, 4, 2}
 	var out bytes.Buffer

@@ -12,11 +12,6 @@ import (
 	"approxsort/internal/mem"
 )
 
-// mergeSentinel marks an exhausted cursor in the tournament tree. Live
-// composites are key<<32|leaf with leaf bounded by the fan-in, so the
-// all-ones value is unreachable by real records.
-const mergeSentinel = ^uint64(0)
-
 // mergeAccountant charges the merge passes' output traffic to simulated
 // precise memory: every merged record is staged through a block-sized
 // window of precise words before it is encoded to disk, so each full
@@ -206,22 +201,24 @@ func (w *mergeWriter) finish() error {
 	return nil
 }
 
-// runMergeLoop drains all cursors through the tournament tree into the
-// writer. One tree replay plus one block-buffer store per record; block
+// runMergeLoop drains the cursors through the radix heap into the
+// writer. Each live cursor holds one composite key<<32|leaf in the heap,
+// so a pop yields the record and its cursor. The composites are unique
+// among live cursors and a cursor's next key is never below the one just
+// popped (fill rejects a decreasing run first), so the pushes stay
+// monotone and the pops come in (key, leaf) order. An exhausted cursor
+// pushes nothing; the loop ends when no live cursor is left. Block
 // refills and block flushes happen in the (unannotated) concrete helpers.
 //
 //memlint:hotpath
-func runMergeLoop(t *tournamentTree, curs []*cursor, w *mergeWriter) error {
-	for {
-		leaf := t.winner()
-		key := t.key[leaf]
-		if key == mergeSentinel {
-			return nil
-		}
-		w.push(uint32(key >> 32))
+func runMergeLoop(h *radixHeap, live int, curs []*cursor, w *mergeWriter) error {
+	for live > 0 {
+		top := h.pop()
+		w.push(uint32(top >> 32))
 		if w.err != nil {
 			return w.err
 		}
+		leaf := uint32(top)
 		c := curs[leaf]
 		c.i++
 		if c.i == c.n {
@@ -230,11 +227,12 @@ func runMergeLoop(t *tournamentTree, curs []*cursor, w *mergeWriter) error {
 			}
 		}
 		if c.done {
-			t.update(leaf, mergeSentinel)
+			live--
 		} else {
-			t.update(leaf, uint64(c.buf[c.i])<<32|uint64(leaf))
+			h.push(uint64(c.buf[c.i])<<32 | uint64(leaf))
 		}
 	}
+	return nil
 }
 
 // mergeGroup merges a group of sorted files into out. Inputs are
@@ -243,7 +241,6 @@ func runMergeLoop(t *tournamentTree, curs []*cursor, w *mergeWriter) error {
 // caller's writer does not.
 func (st *state) mergeGroup(files []runFile, out io.Writer, toDisk bool, pass int) (int64, error) {
 	curs := make([]*cursor, len(files))
-	keys := make([]uint64, len(files))
 	defer func() {
 		for _, c := range curs {
 			if c != nil {
@@ -251,7 +248,11 @@ func (st *state) mergeGroup(files []runFile, out io.Writer, toDisk bool, pass in
 			}
 		}
 	}()
-	var want int64
+	var (
+		want int64
+		h    radixHeap
+		live int
+	)
 	for i, rf := range files {
 		c, err := openCursor(rf, st.cfg.Block, &st.disk)
 		if err != nil {
@@ -259,13 +260,11 @@ func (st *state) mergeGroup(files []runFile, out io.Writer, toDisk bool, pass in
 		}
 		curs[i] = c
 		want += rf.records
-		if c.done {
-			keys[i] = mergeSentinel
-		} else {
-			keys[i] = uint64(c.buf[0])<<32 | uint64(i)
+		if !c.done {
+			h.push(uint64(c.buf[0])<<32 | uint64(i))
+			live++
 		}
 	}
-	t := newTournamentTree(keys)
 	var disk *diskTracker
 	if toDisk {
 		disk = &st.disk
@@ -273,7 +272,7 @@ func (st *state) mergeGroup(files []runFile, out io.Writer, toDisk bool, pass in
 	mw := newMergeWriter(out, st.merge, disk, func(written int64) {
 		st.progress("merge", pass, written)
 	})
-	if err := runMergeLoop(t, curs, mw); err != nil {
+	if err := runMergeLoop(&h, live, curs, mw); err != nil {
 		return 0, err
 	}
 	if err := mw.finish(); err != nil {

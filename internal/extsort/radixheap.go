@@ -2,17 +2,19 @@ package extsort
 
 import "math/bits"
 
-// radixHeap is a monotone priority queue over uint64 keys: every pushed
-// key must be ≥ the key last popped. That is exactly replacement
-// selection's access pattern over packed run<<32|key selection keys (see
-// formReplacement), and it lets the queue bucket keys by
-// bits.Len64(k ^ last) — the highest bit in which a key differs from the
-// last popped one — instead of keeping them ordered. A pop that finds no
-// key equal to last takes the lowest non-empty bucket, makes its minimum
-// the new last and redistributes the bucket's keys, each into a strictly
-// lower bucket (they all agree with the new minimum above the bucket's
-// bit). A key therefore moves at most 64 times between push and pop, and
-// a pop scans one bucket instead of replaying a log₂ M tree path.
+// radixHeap is a monotone priority queue over uint64 keys: every
+// pushed key must be ≥ the key last popped. That is exactly the
+// access pattern of both phases of the sort: replacement selection
+// over packed run<<32|key selection keys (see formReplacement) and
+// the k-way merge over key<<32|leaf composites (see runMergeLoop). It
+// lets the queue bucket keys by bits.Len64(k ^ last) — the highest
+// bit in which a key differs from the last popped one — instead of
+// keeping them ordered. A pop that finds no key equal to last takes
+// the lowest non-empty bucket, makes its minimum the new last and
+// redistributes the bucket's keys, each into a strictly lower bucket
+// (they all agree with the new minimum above the bucket's bit). A key
+// therefore moves at most 64 times between push and pop, and a pop
+// scans one bucket instead of replaying a log₂ M tree path.
 //
 // Pops return keys in non-decreasing order. Keys equal to last need no
 // storage, only a count, because a pop returns the key value alone.

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -235,4 +236,21 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 		}
 	}()
 	Register(mlcBackend{})
+}
+
+// TestResolveRejectsNaN feeds every registered backend a NaN t and, one
+// parameter at a time, a NaN params value: each must fail to resolve,
+// because NaN lies in no parameter's range.
+func TestResolveRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, name := range Names() {
+		if _, _, _, err := Resolve(name, nil, nan); err == nil {
+			t.Errorf("%s: t = NaN resolved", name)
+		}
+		for _, spec := range MustGet(name).Params() {
+			if _, pt, _, err := Resolve(name, map[string]float64{spec.Name: nan}, 0); err == nil {
+				t.Errorf("%s: params.%s = NaN resolved to %v", name, spec.Name, pt)
+			}
+		}
+	}
 }

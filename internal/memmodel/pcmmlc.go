@@ -110,7 +110,9 @@ func normalizeAgainst(b Backend, pt Point) (Point, error) {
 			v = spec.Default
 			out.Params[spec.Name] = v
 		}
-		if v < spec.Min || v > spec.Max || (spec.MinExclusive && v == spec.Min) { //nolint:floatord // range check on a configured parameter, not an accumulated sum
+		// Written as !(in range) so that NaN, which fails every
+		// comparison, is rejected too.
+		if !(v >= spec.Min && v <= spec.Max) || (spec.MinExclusive && v == spec.Min) { //nolint:floatord // range check on a configured parameter, not an accumulated sum
 			open := "["
 			if spec.MinExclusive {
 				open = "("

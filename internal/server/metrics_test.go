@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -170,5 +171,39 @@ func TestServerMetricsSurface(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteJSONUnencodableValue checks that a value encoding/json cannot
+// encode (here a NaN float) answers 500 with a JSON error body instead
+// of the intended status with an empty body, and that the request
+// counts under the code actually sent.
+func TestWriteJSONUnencodableValue(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Shutdown(context.Background())
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, "/test", 200, struct{ X float64 }{math.NaN()})
+	if rec.Code != 500 {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	var body apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "NaN") {
+		t.Fatalf("body %q (%v), want a JSON error naming the value", rec.Body.String(), err)
+	}
+	var sb strings.Builder
+	s.Metrics().Render(&sb)
+	out := sb.String()
+	if !strings.Contains(out, `sortd_requests_total{route="/test",code="500"} 1`) ||
+		strings.Contains(out, `route="/test",code="200"`) {
+		t.Fatalf("request not counted under 500:\n%s", out)
+	}
+
+	rec = httptest.NewRecorder()
+	s.writeJSON(rec, "/test", 201, map[string]int{"n": 1})
+	if rec.Code != 201 || rec.Body.String() != "{\"n\":1}\n" {
+		t.Fatalf("encodable value: %d %q", rec.Code, rec.Body.String())
 	}
 }

@@ -259,12 +259,22 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers code with v as JSON, or 500 with an error body when
+// v does not encode (a non-finite float, say), so a status never goes
+// out without its body. v is encoded before the header is written, and
+// the request counts under the code actually sent.
 func (s *Server) writeJSON(w http.ResponseWriter, route string, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(apiError{Error: "encoding response: " + err.Error()})
+	}
 	s.requests.With(route, fmt.Sprintf("%d", code)).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	// The status is already sent; a failed write means the client has
+	// gone, and there is no one left to tell.
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // handleSubmit is the admission path of the sort route for a job kind:
