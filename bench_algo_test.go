@@ -19,7 +19,7 @@ func benchAlgoWrites(b *testing.B, alg sorts.Algorithm, t float64) {
 	var report *core.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(keys, core.Config{Algorithm: alg, T: t, Seed: benchSeed + uint64(i)})
+		res, err := core.Run(keys, core.Config{Algorithm: alg, NewSpace: mlcSpace(t), Seed: benchSeed + uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

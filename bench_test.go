@@ -52,6 +52,11 @@ func BenchmarkFig2bErrorRate(b *testing.B) {
 	b.ReportMetric(last, "wordErr@T=0.1")
 }
 
+// mlcSpace returns the MLC PCM space constructor at half-width t.
+func mlcSpace(t float64) func(seed uint64) core.Space {
+	return func(seed uint64) core.Space { return mem.NewApproxSpaceAt(t, seed) }
+}
+
 // --- Figure 4 / Table 3: sorting in approximate memory only ---
 
 func benchSortOnly(b *testing.B, alg sorts.Algorithm, t float64) {
@@ -240,7 +245,7 @@ func BenchmarkAblationRefineVsAdaptive(b *testing.B) {
 	var heuristic, adaptiveWrites float64
 	for i := 0; i < b.N; i++ {
 		res, err := core.Run(keys, core.Config{
-			Algorithm: sorts.Quicksort{}, T: 0.055, Seed: benchSeed, SkipBaseline: true,
+			Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: benchSeed, SkipBaseline: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -322,13 +327,13 @@ func BenchmarkAblationExactLIS(b *testing.B) {
 	var heurRem, exactRem, heurWrites, exactWrites float64
 	for i := 0; i < b.N; i++ {
 		h, err := core.Run(keys, core.Config{
-			Algorithm: sorts.Quicksort{}, T: 0.07, Seed: benchSeed, SkipBaseline: true,
+			Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.07), Seed: benchSeed, SkipBaseline: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		e, err := core.Run(keys, core.Config{
-			Algorithm: sorts.Quicksort{}, T: 0.07, Seed: benchSeed, SkipBaseline: true, ExactLIS: true,
+			Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.07), Seed: benchSeed, SkipBaseline: true, ExactLIS: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -351,7 +356,7 @@ func BenchmarkPlanner(b *testing.B) {
 	var plan core.Plan
 	var err error
 	for i := 0; i < b.N; i++ {
-		plan, err = core.Planner{Config: core.Config{T: 0.055, Seed: benchSeed}}.
+		plan, err = core.Planner{Config: core.Config{NewSpace: mlcSpace(0.055), Seed: benchSeed}}.
 			Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: sorts.MSD{Bits: 3}}})
 		if err != nil {
 			b.Fatal(err)

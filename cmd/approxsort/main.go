@@ -69,6 +69,13 @@ func run(args []string, stdout io.Writer) error {
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", *n)
 	}
+	// -T names a pcm-mlc point; Normalize range-checks it (NaN included)
+	// once for both the in-memory and the external path.
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(*t))
+	if err != nil {
+		return fmt.Errorf("-T: %w", err)
+	}
 
 	// The registry owns the algorithm roster; only the histogram
 	// variants — deliberately unregistered ablation tools — are resolved
@@ -91,8 +98,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *external {
-		return runExternal(stdout, alg, extConfig{
-			n: *n, t: *t, dist: *dist, seed: *seed,
+		return runExternal(stdout, alg, b, pt, extConfig{
+			n: *n, dist: *dist, seed: *seed,
 			runSize: *runSize, fanIn: *fanIn, formation: *formation,
 			refineAtMerge: *refineAtMerge, autoplan: *autoplan, out: *outPath,
 		})
@@ -116,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cfg := core.Config{
 		Algorithm:         alg,
-		T:                 *t,
+		NewSpace:          func(s uint64) core.Space { return b.NewApprox(pt, s) },
 		Seed:              *seed,
 		MeasureSortedness: true,
 		ExactLIS:          *exactLIS,
@@ -141,12 +148,15 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := verify.CheckRefineRun(keys, res, b.Identities(pt)).Err(); err != nil {
+		return err
+	}
 	r := res.Report
 
 	fmt.Fprintf(stdout, "approx-refine: %s over %d %s keys at T=%.3f\n\n", r.Algorithm, r.N, *dist, *t)
 	tab := stats.NewTable("stage", "approx writes", "approx ns", "precise writes", "precise ns")
-	addStage := func(name string, b core.StageBreakdown) {
-		tab.AddRow(name, b.Approx.Writes, b.Approx.WriteNanos, b.Precise.Writes, b.Precise.WriteNanos)
+	addStage := func(name string, sb core.StageBreakdown) {
+		tab.AddRow(name, sb.Approx.Writes, sb.Approx.WriteNanos, sb.Precise.Writes, sb.Precise.WriteNanos)
 	}
 	addStage("approx preparation", r.Prep)
 	addStage("approx stage (sort)", r.ApproxSort)
@@ -177,7 +187,6 @@ func maxInt(a, b int) int {
 
 type extConfig struct {
 	n             int
-	t             float64
 	dist          string
 	seed          uint64
 	runSize       int
@@ -190,17 +199,11 @@ type extConfig struct {
 
 // runExternal streams the dataset through the out-of-core pipeline and
 // prints the external sort's report.
-func runExternal(stdout io.Writer, alg sorts.Algorithm, ec extConfig) error {
+func runExternal(stdout io.Writer, alg sorts.Algorithm, b memmodel.Backend, pt memmodel.Point, ec extConfig) error {
 	src, err := dataset.StreamSpec{Kind: ec.dist, N: ec.n, Seed: ec.seed}.Stream()
 	if err != nil {
 		return err
 	}
-	b := memmodel.MustGet(memmodel.PCMMLC)
-	pt, err := b.Normalize(memmodel.Point{Backend: b.Name(), Params: map[string]float64{"t": ec.t}})
-	if err != nil {
-		return err
-	}
-
 	var out io.Writer = io.Discard
 	if ec.out != "" {
 		f, err := os.Create(ec.out)
@@ -238,7 +241,7 @@ func runExternal(stdout io.Writer, alg sorts.Algorithm, ec extConfig) error {
 	}
 
 	fmt.Fprintf(stdout, "external approx-refine: %s over %d %s keys at T=%.3f\n\n",
-		alg.Name(), st.Records, ec.dist, ec.t)
+		alg.Name(), st.Records, ec.dist, pt.Params["t"])
 	if st.Plan != nil {
 		e := st.Plan
 		fmt.Fprintf(stdout, "planner (M=%d, B=%d, ω=%.2f): hybrid=%v refine-at-merge=%v run size %d, fan-in %d\n",

@@ -106,4 +106,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-n", "0"}, &out); err == nil {
 		t.Error("zero -n accepted")
 	}
+	// -T is range-checked on both paths; NaN fails every comparison, so
+	// a range test written as "out of range" would let it through.
+	for _, tv := range []string{"NaN", "0", "0.2"} {
+		for _, path := range [][]string{nil, {"-external"}} {
+			args := append([]string{"-n", "2000", "-T", tv}, path...)
+			if err := run(args, &out); err == nil {
+				t.Errorf("%v accepted", args)
+			}
+		}
+	}
 }

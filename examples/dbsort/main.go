@@ -19,6 +19,7 @@ import (
 
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
 
@@ -51,9 +52,15 @@ func main() {
 	for i, row := range table {
 		keys[i] = row.total
 	}
+	// The space is MLC PCM at the Figure 9 sweet spot, T = 0.055.
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(0.055))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := core.Run(keys, core.Config{
 		Algorithm: sorts.LSD{Bits: 6},
-		T:         0.055,
+		NewSpace:  func(s uint64) core.Space { return b.NewApprox(pt, s) },
 		Seed:      7,
 	})
 	if err != nil {

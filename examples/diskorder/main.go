@@ -25,6 +25,7 @@ import (
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
 	"approxsort/internal/extsort"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
 
@@ -52,8 +53,18 @@ func main() {
 	}
 	defer out.Close()
 
+	// Runs form on MLC PCM at the Figure 9 sweet spot, T = 0.055.
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(0.055))
+	if err != nil {
+		log.Fatal(err)
+	}
 	stats, err := extsort.SortStream(in, out, extsort.Config{
-		Core:    core.Config{Algorithm: sorts.MSD{Bits: 3}, T: 0.055, Seed: 99},
+		Core: core.Config{
+			Algorithm: sorts.MSD{Bits: 3},
+			NewSpace:  func(s uint64) core.Space { return b.NewApprox(pt, s) },
+			Seed:      99,
+		},
 		RunSize: 250_000, // pretend only 1 MB of record memory is available
 		FanIn:   4,
 		TempDir: dir,

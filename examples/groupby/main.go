@@ -18,9 +18,16 @@ import (
 
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
-	"approxsort/internal/relation"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
+
+// group is one aggregation row: a product, its sale count and revenue.
+type group struct {
+	key   uint32
+	count int
+	sum   int64 // cents
+}
 
 func main() {
 	log.SetFlags(0)
@@ -32,43 +39,54 @@ func main() {
 	for i := range amounts {
 		amounts[i] = int64(100 + (i*37)%900) // cents
 	}
-	table, err := relation.NewTable(
-		&relation.Uint32Column{ColName: "product", Values: products},
-		&relation.Int64Column{ColName: "amount", Values: amounts},
-	)
+
+	// ORDER BY product on MLC PCM at the Figure 9 sweet spot, T = 0.055.
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(0.055))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	groups, report, err := table.GroupBySorted("product", "amount", core.Config{
+	res, err := core.Run(products, core.Config{
 		Algorithm: sorts.LSD{Bits: 6},
-		T:         0.055,
+		NewSpace:  func(s uint64) core.Space { return b.NewApprox(pt, s) },
 		Seed:      13,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	// One precise pass over the sorted run: each group is a run of equal
+	// keys, and its amounts ride along through the record IDs.
+	var groups []group
+	for i := 0; i < n; {
+		g := group{key: res.Keys[i]}
+		for ; i < n && res.Keys[i] == g.key; i++ {
+			g.count++
+			g.sum += amounts[res.IDs[i]]
+		}
+		groups = append(groups, g)
+	}
+
 	fmt.Printf("GROUP BY product over %d sales: %d groups, write reduction %.2f%%\n\n",
-		n, len(groups), 100*report.WriteReduction())
+		n, len(groups), 100*res.Report.WriteReduction())
 
 	// Show the three best sellers by count.
 	best := groups[0]
-	var second, third relation.GroupAgg
+	var second, third group
 	for _, g := range groups {
 		switch {
-		case g.Count > best.Count:
+		case g.count > best.count:
 			third, second, best = second, best, g
-		case g.Count > second.Count:
+		case g.count > second.count:
 			third, second = second, g
-		case g.Count > third.Count:
+		case g.count > third.count:
 			third = g
 		}
 	}
 	fmt.Println("top products by sale count:")
-	for _, g := range []relation.GroupAgg{best, second, third} {
+	for _, g := range []group{best, second, third} {
 		fmt.Printf("  product %10d  sales=%6d  revenue=$%d.%02d\n",
-			g.Key, g.Count, g.Sum/100, g.Sum%100)
+			g.key, g.count, g.sum/100, g.sum%100)
 	}
 
 	// Cross-check against a hash aggregation in plain Go.
@@ -82,8 +100,8 @@ func main() {
 		log.Fatalf("group count mismatch: %d vs %d", len(groups), len(counts))
 	}
 	for _, g := range groups {
-		if counts[g.Key] != g.Count || sums[g.Key] != g.Sum {
-			log.Fatalf("aggregation wrong for product %d", g.Key)
+		if counts[g.key] != g.count || sums[g.key] != g.sum {
+			log.Fatalf("aggregation wrong for product %d", g.key)
 		}
 	}
 	fmt.Println("\ncross-check vs hash aggregation: identical ✔")

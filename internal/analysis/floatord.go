@@ -10,7 +10,7 @@ import (
 // floating-point comparison is a latent bug: latency/energy sums are
 // accumulated in float64 and the verification contract (PR 3) compares
 // them under a relative 1e-9 tolerance, never exactly. Service-layer
-// packages (internal/server, internal/relation) that use float sentinels
+// packages (internal/server) that use float sentinels
 // for request routing are out of scope.
 var floatordScope = map[string]bool{
 	"approxsort/internal/mem":         true,

@@ -19,7 +19,7 @@ const (
 // body (function literals included, so rows built inside parallel.Map
 // closures count), or by calling another function in the package that
 // does. The closure is computed to a fixpoint, so a sweep like Fig9 is
-// covered by the verify.Check inside the leaf Refine it fans out to —
+// covered by the verify.CheckRefineRun inside the leaf RefineAt it fans out to —
 // and removing that one call re-flags every sweep above it.
 var Verifygate = &Analyzer{
 	Name: "verifygate",

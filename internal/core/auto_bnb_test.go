@@ -189,7 +189,7 @@ func TestPlanAutoMatchesExhaustive(t *testing.T) {
 func TestPlanExternalAutoPicksCheapestGeometry(t *testing.T) {
 	sample := dataset.Uniform(8192, 13)
 	ext := ExtConfig{N: 20_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true}
-	pl := Planner{Config: Config{T: 0.055, Seed: 99}}
+	pl := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 99}}
 	cands := sorts.AutoCandidates()
 
 	plan, err := pl.Plan(sample, ext, cands)
@@ -223,7 +223,7 @@ func TestPlanShardedAutoPicksShortestCriticalPath(t *testing.T) {
 		Ext:       ExtConfig{N: 100_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true},
 		MaxShards: 4,
 	}
-	pl := Planner{Config: Config{T: 0.055, Seed: 99}}
+	pl := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 99}}
 	cands := sorts.AutoCandidates()
 
 	plan, err := pl.Plan(sample, cfg, cands)
@@ -320,7 +320,7 @@ func TestPlanPilotsEachCandidateOnce(t *testing.T) {
 // TestPlanAutoVariantsRejectEmptyRoster pins the empty-roster error for
 // every geometry.
 func TestPlanAutoVariantsRejectEmptyRoster(t *testing.T) {
-	pl := Planner{Config: Config{T: 0.055, Seed: 1}}
+	pl := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 1}}
 	ext := ExtConfig{N: 100, MemBudget: 1 << 16}
 	for _, geo := range []Geometry{InMemory{}, ext, ShardConfig{Ext: ext, MaxShards: 2}} {
 		if _, err := pl.Plan(dataset.Uniform(100, 1), geo, nil); err == nil {

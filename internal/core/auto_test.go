@@ -87,7 +87,7 @@ func TestPlanAutoDeterministic(t *testing.T) {
 
 // TestPlanAutoRequiresCandidates pins the empty-roster error.
 func TestPlanAutoRequiresCandidates(t *testing.T) {
-	_, err := Planner{Config: Config{T: 0.055, Seed: 1}}.PlanAuto(dataset.Uniform(100, 1), nil)
+	_, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 1}}.PlanAuto(dataset.Uniform(100, 1), nil)
 	if err == nil {
 		t.Fatal("PlanAuto accepted an empty candidate roster")
 	}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"approxsort/internal/mem"
-	"approxsort/internal/mlc"
 	"approxsort/internal/rng"
 	"approxsort/internal/sortedness"
 	"approxsort/internal/sorts"
@@ -51,13 +50,11 @@ type Config struct {
 	// (per Section 4.2, Step 2) to sort REMID in the refine stage.
 	Algorithm sorts.Algorithm
 
-	// T configures a table-driven MLC PCM model at this target
-	// half-width when NewSpace is nil.
-	T float64
-
-	// NewSpace, when non-nil, overrides T and supplies the approximate
-	// space (e.g. the spintronic model of Appendix A). It is called once
-	// per run with a seed derived from Config.Seed.
+	// NewSpace supplies the approximate space, usually a memmodel
+	// backend's NewApprox at one operating point (the MLC PCM model of
+	// Section 3, the spintronic model of Appendix A, ...). It is
+	// required and is called once per run with a seed derived from
+	// Config.Seed.
 	NewSpace func(seed uint64) Space
 
 	// Seed makes the run reproducible. Both the approximate-memory
@@ -97,22 +94,13 @@ func (c Config) validate() error {
 	if c.Algorithm == nil {
 		return errors.New("core: Config.Algorithm is required")
 	}
-	if c.NewSpace == nil && (c.T <= 0 || c.T > mlc.MaxT) {
-		return fmt.Errorf("core: T = %v out of range (0, %v]", c.T, mlc.MaxT)
+	if c.NewSpace == nil {
+		return errors.New("core: Config.NewSpace is required")
 	}
 	return nil
 }
 
-func (c Config) newSpace() Space { return c.spaceAt(c.Seed ^ 0x517cc1b727220a95) }
-
-// spaceAt builds the approximate space on the noise stream seeded with
-// seed.
-func (c Config) spaceAt(seed uint64) Space {
-	if c.NewSpace != nil {
-		return c.NewSpace(seed)
-	}
-	return mem.NewApproxSpaceAt(c.T, seed)
-}
+func (c Config) newSpace() Space { return c.NewSpace(c.Seed ^ 0x517cc1b727220a95) }
 
 // StageBreakdown records the memory traffic one pipeline stage generated
 // in each half of the hybrid system.
@@ -150,8 +138,6 @@ type Report struct {
 	// Algorithm and N identify the run.
 	Algorithm string
 	N         int
-	// T is the MLC target half-width, or 0 when a custom space was used.
-	T float64
 
 	// Per-stage breakdowns (Figure 8's stage names).
 	Prep        StageBreakdown // approx preparation: Key0 → approximate memory
@@ -252,8 +238,8 @@ func (r *Report) RemTildeRatio() float64 {
 // String implements fmt.Stringer with a one-paragraph run summary.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"approx-refine %s n=%d T=%g: Rem~=%d (%.2f%%), hybrid writes %.3fms vs baseline %.3fms, WR=%.2f%%, sorted=%v",
-		r.Algorithm, r.N, r.T, r.RemTilde, 100*r.RemTildeRatio(),
+		"approx-refine %s n=%d: Rem~=%d (%.2f%%), hybrid writes %.3fms vs baseline %.3fms, WR=%.2f%%, sorted=%v",
+		r.Algorithm, r.N, r.RemTilde, 100*r.RemTildeRatio(),
 		r.Total().WriteNanos()/1e6, r.Baseline.WriteNanos/1e6,
 		100*r.WriteReduction(), r.Sorted)
 }

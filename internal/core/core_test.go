@@ -12,6 +12,12 @@ import (
 	"approxsort/internal/sorts"
 )
 
+// mlcSpace returns the MLC PCM space constructor at half-width t — the
+// same space memmodel's pcm-mlc backend builds at that point.
+func mlcSpace(t float64) func(seed uint64) Space {
+	return func(seed uint64) Space { return mem.NewApproxSpaceAt(t, seed) }
+}
+
 func sortedCopy(keys []uint32) []uint32 {
 	out := append([]uint32(nil), keys...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -51,7 +57,7 @@ func TestRunProducesPreciseOutput(t *testing.T) {
 	keys := dataset.Uniform(5000, 1)
 	for _, alg := range sorts.Standard(3, 6) {
 		for _, T := range []float64{0.025, 0.055, 0.1} {
-			res, err := Run(keys, Config{Algorithm: alg, T: T, Seed: 42})
+			res, err := Run(keys, Config{Algorithm: alg, NewSpace: mlcSpace(T), Seed: 42})
 			if err != nil {
 				t.Fatalf("%s T=%v: %v", alg.Name(), T, err)
 			}
@@ -64,7 +70,7 @@ func TestRunEdgeSizes(t *testing.T) {
 	alg := sorts.Quicksort{}
 	for _, n := range []int{0, 1, 2, 3, 7} {
 		keys := dataset.Uniform(n, uint64(n)+2)
-		res, err := Run(keys, Config{Algorithm: alg, T: 0.1, Seed: 7})
+		res, err := Run(keys, Config{Algorithm: alg, NewSpace: mlcSpace(0.1), Seed: 7})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -82,7 +88,7 @@ func TestRunAdversarialInputs(t *testing.T) {
 	}
 	for name, keys := range inputs {
 		for _, alg := range sorts.Standard(6) {
-			res, err := Run(keys, Config{Algorithm: alg, T: 0.1, Seed: 5})
+			res, err := Run(keys, Config{Algorithm: alg, NewSpace: mlcSpace(0.1), Seed: 5})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", alg.Name(), name, err)
 			}
@@ -98,7 +104,7 @@ func TestRunQuickProperty(t *testing.T) {
 		}
 		res, err := Run(keys, Config{
 			Algorithm:    sorts.Quicksort{},
-			T:            0.12, // heavy corruption
+			NewSpace:     mlcSpace(0.12), // heavy corruption
 			Seed:         seed,
 			SkipBaseline: true,
 		})
@@ -119,27 +125,20 @@ func TestRunQuickProperty(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(nil, Config{T: 0.05}); err == nil {
-		t.Error("missing algorithm not rejected")
+	if _, err := Run(nil, Config{NewSpace: mlcSpace(0.05)}); err == nil || !strings.Contains(err.Error(), "Config.Algorithm") {
+		t.Errorf("missing algorithm: err = %v, want one naming Config.Algorithm", err)
 	}
-	if _, err := Run(nil, Config{Algorithm: sorts.Quicksort{}, T: 0}); err == nil {
-		t.Error("zero T not rejected")
+	if _, err := Run(nil, Config{Algorithm: sorts.Quicksort{}}); err == nil || !strings.Contains(err.Error(), "Config.NewSpace") {
+		t.Errorf("missing space: err = %v, want one naming Config.NewSpace", err)
 	}
-	if _, err := Run(nil, Config{Algorithm: sorts.Quicksort{}, T: 0.2}); err == nil {
-		t.Error("T beyond band not rejected")
-	}
-	// A custom space makes T irrelevant.
-	if _, err := Run([]uint32{3, 1, 2}, Config{
-		Algorithm: sorts.Quicksort{},
-		NewSpace:  func(seed uint64) Space { return mem.NewApproxSpaceAt(0.05, seed) },
-	}); err != nil {
-		t.Errorf("custom space run failed: %v", err)
+	if _, err := Run([]uint32{3, 1, 2}, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.05)}); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
 func TestReportAccounting(t *testing.T) {
 	keys := dataset.Uniform(4000, 9)
-	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 11, MeasureSortedness: true})
+	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 11, MeasureSortedness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +200,12 @@ func TestReportAccounting(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	keys := dataset.Uniform(1000, 51)
-	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 52})
+	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Report.String()
-	for _, want := range []string{"Quicksort", "n=1000", "T=0.055", "sorted=true", "WR="} {
+	for _, want := range []string{"Quicksort", "n=1000", "sorted=true", "WR="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Report.String() = %q missing %q", s, want)
 		}
@@ -297,7 +296,7 @@ func TestFindREMPaperExample(t *testing.T) {
 
 func TestRemTildeSmallAtModestT(t *testing.T) {
 	keys := dataset.Uniform(20000, 13)
-	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 17, SkipBaseline: true})
+	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 17, SkipBaseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +310,14 @@ func TestWriteReductionSigns(t *testing.T) {
 	// reduction must be negative; mergesort must not beat the baseline
 	// anywhere.
 	keys := dataset.Uniform(30000, 19)
-	low, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 3}, T: 0.025, Seed: 23})
+	low, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 3}, NewSpace: mlcSpace(0.025), Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wr := low.Report.WriteReduction(); wr >= 0 {
 		t.Errorf("write reduction at precise T = %v, want negative", wr)
 	}
-	ms, err := Run(keys, Config{Algorithm: sorts.Mergesort{}, T: 0.055, Seed: 29})
+	ms, err := Run(keys, Config{Algorithm: sorts.Mergesort{}, NewSpace: mlcSpace(0.055), Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +328,7 @@ func TestWriteReductionSigns(t *testing.T) {
 
 func TestStageBreakdownArithmetic(t *testing.T) {
 	keys := dataset.Uniform(2000, 31)
-	res, err := Run(keys, Config{Algorithm: sorts.LSD{Bits: 6}, T: 0.055, Seed: 37})
+	res, err := Run(keys, Config{Algorithm: sorts.LSD{Bits: 6}, NewSpace: mlcSpace(0.055), Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestAnalyticWRTracksMeasuredSign(t *testing.T) {
 		{0.055, 0.67, sorts.MSD{Bits: 3}, true},
 		{0.025, 1.00, sorts.MSD{Bits: 3}, false},
 	} {
-		res, err := Run(keys, Config{Algorithm: tc.alg, T: tc.T, Seed: 43})
+		res, err := Run(keys, Config{Algorithm: tc.alg, NewSpace: mlcSpace(tc.T), Seed: 43})
 		if err != nil {
 			t.Fatal(err)
 		}

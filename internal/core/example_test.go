@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"approxsort/internal/core"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
 
@@ -12,9 +13,15 @@ import (
 func ExampleRun() {
 	keys := []uint32{168, 528, 1, 96, 33, 35, 928, 6} // the paper's Figure 8 input
 
+	// The approximate space is MLC PCM at target half-width T = 0.055.
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(0.055))
+	if err != nil {
+		panic(err)
+	}
 	res, err := core.Run(keys, core.Config{
 		Algorithm: sorts.Quicksort{},
-		T:         0.055,
+		NewSpace:  func(s uint64) core.Space { return b.NewApprox(pt, s) },
 		Seed:      1,
 	})
 	if err != nil {

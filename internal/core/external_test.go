@@ -12,7 +12,7 @@ import (
 func extPlan(t *testing.T, alg sorts.Algorithm, T float64, ext ExtConfig) Plan {
 	t.Helper()
 	sample := dataset.Uniform(8192, 13)
-	plan, err := Planner{Config: Config{T: T, Seed: 99}}.Plan(sample, ext, only(alg))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(T), Seed: 99}}.Plan(sample, ext, only(alg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPlanExternalSingleRun(t *testing.T) {
 }
 
 func TestPlanExternalValidation(t *testing.T) {
-	pl := Planner{Config: Config{T: 0.055, Seed: 1}}
+	pl := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 1}}
 	msd := only(sorts.MSD{Bits: 6})
 	if _, err := pl.Plan(nil, ExtConfig{N: 0, MemBudget: 1 << 16}, msd); err == nil {
 		t.Fatal("expected error for N=0")
@@ -145,7 +145,7 @@ func TestPlanExternalValidation(t *testing.T) {
 func TestPlanExternalEmptySampleStillPlans(t *testing.T) {
 	// No pilot data (empty sample): the planner falls back to ω from the
 	// config or 1, and must still produce a usable geometry.
-	plan, err := Planner{Config: Config{T: 0.055, Seed: 1}}.
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 1}}.
 		Plan(nil, ExtConfig{N: 1_000_000, MemBudget: 1 << 16, Replacement: true}, only(sorts.MSD{Bits: 6}))
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func FuzzRefinePrecision(f *testing.F) {
 		}
 		res, err := Run(keys, Config{
 			Algorithm:    alg,
-			T:            0.1,
+			NewSpace:     mlcSpace(0.1),
 			Seed:         uint64(algPick) + uint64(n),
 			SkipBaseline: true,
 		})

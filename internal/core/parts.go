@@ -59,13 +59,9 @@ func startPipeline(keys []uint32, cfg Config) (*pipeline, error) {
 	p.report = &Report{
 		Algorithm:           cfg.Algorithm.Name(),
 		N:                   n,
-		T:                   cfg.T,
 		ExactLIS:            cfg.ExactLIS,
 		PostApproxRem:       -1,
 		PostApproxErrorRate: -1,
-	}
-	if cfg.NewSpace != nil {
-		p.report.T = 0
 	}
 
 	// Warm-up: Key0 and ID materialize in precise memory. The paper's

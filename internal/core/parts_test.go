@@ -31,7 +31,7 @@ func mergeParts(p Parts) (keys, ids []uint32) {
 func TestRunPartsMergeReconstructsPreciseSort(t *testing.T) {
 	keys := dataset.Uniform(5000, 7)
 	for _, alg := range sorts.Standard(3, 6) {
-		parts, err := RunParts(keys, Config{Algorithm: alg, T: 0.055, Seed: 21})
+		parts, err := RunParts(keys, Config{Algorithm: alg, NewSpace: mlcSpace(0.055), Seed: 21})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -51,7 +51,7 @@ func TestRunPartsMatchesRunFrontHalf(t *testing.T) {
 	// Run must agree on everything up to refine step 3 — same Rem~, same
 	// per-stage accounting, and an empty RefineMerge breakdown for parts.
 	keys := dataset.Uniform(8000, 11)
-	cfg := Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.07, Seed: 5, SkipBaseline: true}
+	cfg := Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.07), Seed: 5, SkipBaseline: true}
 	res, err := Run(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRunPartsMatchesRunFrontHalf(t *testing.T) {
 
 func TestRunPartsDeterministic(t *testing.T) {
 	keys := dataset.Uniform(4000, 3)
-	cfg := Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 17}
+	cfg := Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 17}
 	a, err := RunParts(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestRunPartsDeterministic(t *testing.T) {
 func TestRunPartsEdgeSizes(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3} {
 		keys := dataset.Uniform(n, 9)
-		parts, err := RunParts(keys, Config{Algorithm: sorts.LSD{Bits: 8}, T: 0.055, Seed: 1})
+		parts, err := RunParts(keys, Config{Algorithm: sorts.LSD{Bits: 8}, NewSpace: mlcSpace(0.055), Seed: 1})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -133,8 +133,8 @@ func TestRunPartsValidatesConfig(t *testing.T) {
 	if _, err := RunParts([]uint32{1, 2}, Config{}); err == nil {
 		t.Fatal("expected config validation error")
 	}
-	if _, err := RunParts([]uint32{1, 2}, Config{Algorithm: sorts.Quicksort{}, T: -1}); err == nil {
-		t.Fatal("expected T range error")
+	if _, err := RunParts([]uint32{1, 2}, Config{Algorithm: sorts.Quicksort{}}); err == nil {
+		t.Fatal("expected missing-space error")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestRunPartsValidatesConfig(t *testing.T) {
 // when the caller forgets to skip it.
 func TestRunPartsBaselineNeverRuns(t *testing.T) {
 	keys := dataset.Uniform(1000, 2)
-	parts, err := RunParts(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 4, SkipBaseline: false})
+	parts, err := RunParts(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 4, SkipBaseline: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,9 @@ func runPilot(sample []uint32, m int, cfg Config, alpha AlphaFunc) (pilot, error
 	}
 	// Read the floor off the space the run builds; the seed it receives
 	// already carries newSpace's derivation, so the run is unchanged.
-	build := cfg
+	build := cfg.NewSpace
 	cfg.NewSpace = func(seed uint64) Space {
-		s := build.spaceAt(seed)
+		s := build(seed)
 		pi.floor = writeFloor(s)
 		return s
 	}

@@ -13,7 +13,7 @@ func only(alg sorts.Algorithm) []sorts.Candidate { return []sorts.Candidate{{Alg
 
 func TestPlannerPicksHybridAtSweetSpot(t *testing.T) {
 	keys := dataset.Uniform(500000, 1)
-	plan, err := Planner{Config: Config{T: 0.055, Seed: 2}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 2}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPlannerPicksHybridAtSweetSpot(t *testing.T) {
 
 func TestPlannerRejectsPreciseT(t *testing.T) {
 	keys := dataset.Uniform(500000, 3)
-	plan, err := Planner{Config: Config{T: 0.025, Seed: 4}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.025), Seed: 4}}.Plan(keys, InMemory{}, only(sorts.MSD{Bits: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPlannerRejectsMergesort(t *testing.T) {
 	// Mergesort's pilot remainder is large enough that Eq. 4 goes
 	// negative — matching Figure 9's finding.
 	keys := dataset.Uniform(200000, 5)
-	plan, err := Planner{Config: Config{T: 0.055, Seed: 6}}.Plan(keys, InMemory{}, only(sorts.Mergesort{}))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 6}}.Plan(keys, InMemory{}, only(sorts.Mergesort{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPlannerRejectsMergesort(t *testing.T) {
 }
 
 func TestPlannerTinyInput(t *testing.T) {
-	plan, err := Planner{Config: Config{T: 0.055}}.Plan([]uint32{5}, InMemory{}, only(sorts.Quicksort{}))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055)}}.Plan([]uint32{5}, InMemory{}, only(sorts.Quicksort{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +63,17 @@ func TestPlannerTinyInput(t *testing.T) {
 }
 
 func TestPlannerValidatesConfig(t *testing.T) {
-	if _, err := (Planner{Config: Config{T: 0.055}}).Plan(dataset.Uniform(10, 1), InMemory{}, only(nil)); err == nil {
+	if _, err := (Planner{Config: Config{NewSpace: mlcSpace(0.055)}}).Plan(dataset.Uniform(10, 1), InMemory{}, only(nil)); err == nil {
 		t.Error("missing algorithm accepted")
 	}
-	if _, err := (Planner{Config: Config{T: 0.055}}).Plan(dataset.Uniform(10000, 1), InMemory{}, only(fakeAlg{})); err == nil {
+	if _, err := (Planner{Config: Config{NewSpace: mlcSpace(0.055)}}).Plan(dataset.Uniform(10000, 1), InMemory{}, only(fakeAlg{})); err == nil {
 		t.Error("algorithm without analytic α accepted")
 	}
 }
 
 func TestPlannerPredictionTracksMeasurement(t *testing.T) {
 	keys := dataset.Uniform(120000, 7)
-	cfg := Config{Algorithm: sorts.LSD{Bits: 3}, T: 0.055, Seed: 8}
+	cfg := Config{Algorithm: sorts.LSD{Bits: 3}, NewSpace: mlcSpace(0.055), Seed: 8}
 	plan, err := Planner{Config: cfg, PilotSize: 8192}.Plan(keys, InMemory{}, only(cfg.Algorithm))
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +93,11 @@ func TestPlannerPredictionTracksMeasurement(t *testing.T) {
 
 func TestExactLISRefine(t *testing.T) {
 	keys := dataset.Uniform(20000, 9)
-	exact, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.07, Seed: 10, ExactLIS: true})
+	exact, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.07), Seed: 10, ExactLIS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heur, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.07, Seed: 10})
+	heur, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.07), Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestExactLISRefine(t *testing.T) {
 func TestExactLISOnCleanInput(t *testing.T) {
 	// On an already sorted order the exact LIS covers everything.
 	keys := dataset.Sorted(5000)
-	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, T: 0.025, Seed: 11, ExactLIS: true})
+	res, err := Run(keys, Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.025), Seed: 11, ExactLIS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestExactLISQuickEquivalence(t *testing.T) {
 	// Property: both refine variants produce the identical sorted output.
 	for seed := uint64(0); seed < 8; seed++ {
 		keys := dataset.Uniform(3000, seed+20)
-		a, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.1, Seed: seed, ExactLIS: true})
+		a, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.1), Seed: seed, ExactLIS: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.1, Seed: seed})
+		b, err := Run(keys, Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.1), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPlannerServiceInputs(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(alg.Name()+"/"+tc.name, func(t *testing.T) {
 				n := len(tc.keys)
-				plan, err := Planner{Config: Config{T: 0.055, Seed: 3}}.Plan(tc.keys, InMemory{}, only(alg))
+				plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 3}}.Plan(tc.keys, InMemory{}, only(alg))
 				if err != nil {
 					t.Fatalf("planner failed on service input: %v", err)
 				}

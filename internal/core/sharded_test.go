@@ -10,7 +10,7 @@ import (
 func shardPlan(t *testing.T, cfg ShardConfig) Plan {
 	t.Helper()
 	sample := dataset.Uniform(8192, 13)
-	plan, err := Planner{Config: Config{T: 0.055, Seed: 99}}.Plan(sample, cfg, only(sorts.MSD{Bits: 6}))
+	plan, err := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 99}}.Plan(sample, cfg, only(sorts.MSD{Bits: 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPlanShardedTinyInputDeclinesFanOut(t *testing.T) {
 }
 
 func TestPlanShardedValidation(t *testing.T) {
-	pl := Planner{Config: Config{T: 0.055, Seed: 1}}
+	pl := Planner{Config: Config{NewSpace: mlcSpace(0.055), Seed: 1}}
 	msd := only(sorts.MSD{Bits: 6})
 	if _, err := pl.Plan(nil, ShardConfig{Ext: ExtConfig{N: 100, MemBudget: 1 << 16}}, msd); err == nil {
 		t.Fatal("expected error for MaxShards=0")

@@ -7,6 +7,7 @@ import (
 	"approxsort/internal/dataset"
 	"approxsort/internal/hybrid"
 	"approxsort/internal/mem"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/mlc"
 	"approxsort/internal/pcm"
 	"approxsort/internal/rng"
@@ -66,20 +67,23 @@ func AccessTimeWithDevice(alg sorts.Algorithm, t float64, n int, seed uint64, de
 	// Hybrid run: approx-refine with both spaces sinked into one system.
 	// The un-sinked precise baseline inside Run provides the latency-sum
 	// denominator.
-	table := mlc.CachedTable(mlc.Approximate(t), 0, mlc.CalibrationSeed)
-	approxWriteNanos := table.AvgP() / mlc.ReferenceAvgP * mlc.PreciseWriteNanos
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(t))
+	if err != nil {
+		return AccessTimeRow{}, err
+	}
 	sys := hybrid.NewWithConfig(dev)
 	res, err := core.Run(keys, core.Config{
 		Algorithm:   alg,
-		T:           t,
+		NewSpace:    func(s uint64) core.Space { return b.NewApprox(pt, s) },
 		Seed:        seed,
 		PreciseSink: sys.Region("precise", mlc.PreciseWriteNanos),
-		ApproxSink:  sys.Region("approx", approxWriteNanos),
+		ApproxSink:  sys.Region("approx", b.ApproxWriteNanos(pt)),
 	})
 	if err != nil {
 		return AccessTimeRow{}, err
 	}
-	if err := verify.Check(keys, res).Err(); err != nil {
+	if err := verify.CheckRefineRun(keys, res, b.Identities(pt)).Err(); err != nil {
 		return AccessTimeRow{}, fmt.Errorf("experiments: %s T=%g n=%d: %w", alg.Name(), t, n, err)
 	}
 	hybridClock := sys.Clock()

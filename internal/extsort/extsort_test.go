@@ -12,6 +12,7 @@ import (
 
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
+	"approxsort/internal/mem"
 	"approxsort/internal/sorts"
 )
 
@@ -35,9 +36,14 @@ func decode(t *testing.T, data []byte) []uint32 {
 	return out
 }
 
+// mlcSpace returns the MLC PCM space constructor at half-width t.
+func mlcSpace(t float64) func(seed uint64) core.Space {
+	return func(seed uint64) core.Space { return mem.NewApproxSpaceAt(t, seed) }
+}
+
 func testConfig(t *testing.T, runSize, fanIn int) Config {
 	return Config{
-		Core:    core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.07, Seed: 9},
+		Core:    core.Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.07), Seed: 9},
 		RunSize: runSize,
 		FanIn:   fanIn,
 		TempDir: t.TempDir(),
@@ -186,7 +192,7 @@ func TestSortStreamHighCorruption(t *testing.T) {
 	// Even at near-zero guard bands the external sort must be exact,
 	// because each run is refined before spilling.
 	cfg := testConfig(t, 2000, 4)
-	cfg.Core.T = 0.12
+	cfg.Core.NewSpace = mlcSpace(0.12)
 	keys := dataset.Uniform(9000, 7)
 	got, stats := runSort(t, keys, cfg)
 	checkSorted(t, keys, got)
@@ -693,7 +699,7 @@ func ExampleSortStream() {
 	keys := []uint32{5, 3, 1, 4, 2}
 	var out bytes.Buffer
 	stats, err := SortStream(bytes.NewReader(encode(keys)), &out, Config{
-		Core:    core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 1},
+		Core:    core.Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.055), Seed: 1},
 		RunSize: 4,
 		FanIn:   2,
 	})

@@ -156,7 +156,11 @@ func TestHistogramHalvesWrites(t *testing.T) {
 func TestHistApproxRefine(t *testing.T) {
 	keys := dataset.Uniform(10000, 17)
 	for _, alg := range []sorts.Algorithm{HistLSD{Bits: 6}, HistMSD{Bits: 6}} {
-		res, err := core.Run(keys, core.Config{Algorithm: alg, T: 0.055, Seed: 19})
+		res, err := core.Run(keys, core.Config{
+			Algorithm: alg,
+			NewSpace:  func(s uint64) core.Space { return mem.NewApproxSpaceAt(0.055, s) },
+			Seed:      19,
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}

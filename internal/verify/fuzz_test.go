@@ -71,14 +71,14 @@ func FuzzApproxRefine(f *testing.F) {
 		alg, tv := fuzzAlg(sel)
 		res, err := core.Run(keys, core.Config{
 			Algorithm:         alg,
-			T:                 tv,
+			NewSpace:          mlcSpace(tv),
 			Seed:              seed,
 			MeasureSortedness: len(keys) <= 512,
 		})
 		if err != nil {
 			t.Fatalf("core.Run(%s, T=%g, n=%d): %v", alg.Name(), tv, len(keys), err)
 		}
-		if rep := Check(keys, res); !rep.OK() {
+		if rep := CheckRefineRun(keys, res, mlcIdentities()); !rep.OK() {
 			t.Fatalf("%s T=%g n=%d seed=%d: %v", alg.Name(), tv, len(keys), seed, rep.Violations)
 		}
 	})
@@ -98,7 +98,7 @@ func FuzzPlanner(f *testing.F) {
 		}
 		alg, tv := fuzzAlg(sel)
 		plan, err := core.Planner{
-			Config:    core.Config{T: tv, Seed: seed},
+			Config:    core.Config{NewSpace: mlcSpace(tv), Seed: seed},
 			PilotSize: int(pilot),
 		}.Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: alg}})
 		if err != nil {
@@ -125,7 +125,7 @@ func FuzzRefineBound(f *testing.F) {
 		alg, tv := fuzzAlg(sel & 0x7f)
 		res, err := core.Run(keys, core.Config{
 			Algorithm:         alg,
-			T:                 tv,
+			NewSpace:          mlcSpace(tv),
 			Seed:              seed,
 			ExactLIS:          sel&0x80 != 0,
 			MeasureSortedness: true,
@@ -134,7 +134,7 @@ func FuzzRefineBound(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep := Check(keys, res); !rep.OK() {
+		if rep := CheckRefineRun(keys, res, mlcIdentities()); !rep.OK() {
 			t.Fatalf("exactLIS=%v: %v", sel&0x80 != 0, rep.Violations)
 		}
 		// Belt and braces on the Equation 4 refine budget itself.

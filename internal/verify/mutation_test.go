@@ -151,7 +151,7 @@ func runPipeline(keys []uint32, alg sorts.Algorithm, tv float64, seed uint64, me
 	precise := mem.NewPreciseSpace()
 	approx := mem.NewApproxSpaceAt(tv, seed^0x517cc1b727220a95)
 	report := &core.Report{
-		Algorithm: alg.Name(), N: n, T: tv,
+		Algorithm: alg.Name(), N: n,
 		PostApproxRem: -1, PostApproxErrorRate: -1,
 	}
 
@@ -213,10 +213,10 @@ func TestMutationPipelineFaithful(t *testing.T) {
 	if res.Report.RemTilde == 0 {
 		t.Fatal("pilot produced Rem~ = 0; pick a harsher T so the mutation can manifest")
 	}
-	if err := Check(keys, res).Err(); err != nil {
+	if err := CheckRefineRun(keys, res, mlcIdentities()).Err(); err != nil {
 		t.Fatalf("faithful copy failed verification — copy has drifted from core: %v", err)
 	}
-	want, err := core.Run(keys, core.Config{Algorithm: alg, T: mutationT, Seed: mutationSeed})
+	want, err := core.Run(keys, core.Config{Algorithm: alg, NewSpace: mlcSpace(mutationT), Seed: mutationSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMutationPipelineFaithful(t *testing.T) {
 func TestMutationIsCaught(t *testing.T) {
 	keys := dataset.Uniform(mutationN, 99)
 	res := runPipeline(keys, sorts.MSD{Bits: 6}, mutationT, mutationSeed, mergeRefineOffByOne)
-	rep := Check(keys, res)
+	rep := CheckRefineRun(keys, res, mlcIdentities())
 	if rep.OK() {
 		t.Fatal("checker passed a run with a known off-by-one in the refine merge")
 	}

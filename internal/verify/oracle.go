@@ -34,7 +34,7 @@ func (d *Diff) String() string {
 }
 
 // DiffKeys compares got against want elementwise and returns nil when they
-// are identical. Lengths must already match (Check guards that); a length
+// are identical. Lengths must already match (the checkers guard that); a length
 // mismatch is reported as a diff at the shorter length.
 func DiffKeys(want, got []uint32) *Diff {
 	n := len(want)

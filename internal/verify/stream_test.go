@@ -27,7 +27,7 @@ func encodeStream(keys []uint32) []byte {
 
 func extsortConfig(t *testing.T) extsort.Config {
 	return extsort.Config{
-		Core:     core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.07, Seed: 11},
+		Core:     core.Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.07), Seed: 11},
 		RunSize:  2000,
 		FanIn:    4,
 		TempDir:  t.TempDir(),
@@ -82,7 +82,7 @@ func decodeStream(b []byte) []uint32 {
 func cleanParts(t *testing.T) ([]uint32, core.Parts) {
 	t.Helper()
 	keys := dataset.Uniform(4000, 7)
-	parts, err := core.RunParts(keys, core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.07, Seed: 5})
+	parts, err := core.RunParts(keys, core.Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.07), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@
 //     tracks latency, pulse counts cover every write, and the phase
 //     roll-ups equal the sum of the five stages.
 //
-// Check is cheap relative to the instrumented runs it audits (O(n log n)
-// host time, no simulated memory traffic), so the experiment sweeps and
-// the sortd service run it on every result; cmd/regress and the fuzz
-// targets drive arbitrary inputs through it.
+// The checks are cheap relative to the instrumented runs they audit
+// (O(n log n) host time, no simulated memory traffic), so the experiment
+// sweeps and the sortd service run them on every result; cmd/regress and
+// the fuzz targets drive arbitrary inputs through them.
 package verify
 
 import (
@@ -98,21 +98,6 @@ func closeEnough(a, b float64) bool {
 	return diff <= relEps*scale
 }
 
-// Check audits one finished approx-refine run against every invariant the
-// paper promises, inferring the backend identity set from the report:
-// Report.T > 0 means the MLC PCM model, anything else gets only the
-// backend-independent identities. Callers that know their backend should
-// prefer CheckRefineRun with the backend's own identity set — it audits
-// strictly more. Check remains for runs whose backend is unknown at the
-// call site (fuzz targets, raw core.Run users).
-func Check(input []uint32, res core.Result) *Report {
-	var id memmodel.Identities
-	if res.Report != nil && res.Report.T > 0 {
-		id = memmodel.MustGet(memmodel.PCMMLC).Identities(memmodel.Point{})
-	}
-	return CheckRefineRun(input, res, id)
-}
-
 // CheckRefineRun audits one finished approx-refine run against every
 // invariant the paper promises, holding the approximate-space stats to
 // the given backend identity set (memmodel.Backend.Identities). input
@@ -171,7 +156,7 @@ func CheckRefineRun(input []uint32, res core.Result, id memmodel.Identities) *Re
 
 // checkOutput runs the order and permutation invariants plus the
 // differential oracle over an output key sequence. It is the shared core
-// of Check and CheckOutput.
+// of CheckRefineRun and CheckOutput.
 func checkOutput(rep *Report, input, keys []uint32) {
 	sorted := sortedness.IsSorted(keys)
 	rep.check(sorted, "output-unsorted", "output keys are not non-decreasing")

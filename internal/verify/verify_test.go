@@ -6,8 +6,8 @@ import (
 
 	"approxsort/internal/core"
 	"approxsort/internal/dataset"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
-	"approxsort/internal/spintronic"
 )
 
 // hasCode reports whether the report contains a violation with the code.
@@ -20,21 +20,32 @@ func hasCode(rep *Report, code string) bool {
 	return false
 }
 
-func runAndCheck(t *testing.T, keys []uint32, cfg core.Config) (*Report, core.Result) {
+// mlcSpace returns pcm-mlc's space constructor at half-width t; its
+// identity set is mlcIdentities().
+func mlcSpace(t float64) func(seed uint64) core.Space {
+	b := memmodel.MustGet(memmodel.PCMMLC)
+	pt, err := b.Normalize(memmodel.MLC(t))
+	if err != nil {
+		panic(err)
+	}
+	return func(s uint64) core.Space { return b.NewApprox(pt, s) }
+}
+
+func runAndCheck(t *testing.T, keys []uint32, cfg core.Config, id memmodel.Identities) (*Report, core.Result) {
 	t.Helper()
 	res, err := core.Run(keys, cfg)
 	if err != nil {
 		t.Fatalf("core.Run: %v", err)
 	}
-	return Check(keys, res), res
+	return CheckRefineRun(keys, res, id), res
 }
 
 func TestCheckPassesCleanRuns(t *testing.T) {
 	keys := dataset.Uniform(3000, 7)
 	for _, alg := range sorts.Standard(4, 6) {
 		for _, tv := range []float64{0.03, 0.055, 0.1} {
-			cfg := core.Config{Algorithm: alg, T: tv, Seed: 11, MeasureSortedness: true}
-			rep, _ := runAndCheck(t, keys, cfg)
+			cfg := core.Config{Algorithm: alg, NewSpace: mlcSpace(tv), Seed: 11, MeasureSortedness: true}
+			rep, _ := runAndCheck(t, keys, cfg, mlcIdentities())
 			if err := rep.Err(); err != nil {
 				t.Errorf("%s T=%g: %v", alg.Name(), tv, err)
 			}
@@ -47,9 +58,9 @@ func TestCheckPassesCleanRuns(t *testing.T) {
 
 func TestCheckPassesExactLIS(t *testing.T) {
 	keys := dataset.Uniform(2000, 3)
-	cfg := core.Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 5,
+	cfg := core.Config{Algorithm: sorts.MSD{Bits: 6}, NewSpace: mlcSpace(0.055), Seed: 5,
 		ExactLIS: true, MeasureSortedness: true}
-	rep, res := runAndCheck(t, keys, cfg)
+	rep, res := runAndCheck(t, keys, cfg, mlcIdentities())
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +74,16 @@ func TestCheckPassesExactLIS(t *testing.T) {
 
 func TestCheckPassesSpintronicSpace(t *testing.T) {
 	keys := dataset.Uniform(1500, 9)
-	cfg := spintronic.Presets()[0]
-	rep, _ := runAndCheck(t, keys, core.Config{
-		Algorithm: sorts.Quicksort{},
-		NewSpace:  func(s uint64) core.Space { return spintronic.NewSpace(cfg, s) },
-		Seed:      13,
-	})
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
+	b := memmodel.MustGet(memmodel.SpintronicName)
+	for _, pt := range memmodel.SpintronicPresets() {
+		rep, _ := runAndCheck(t, keys, core.Config{
+			Algorithm: sorts.Quicksort{},
+			NewSpace:  func(s uint64) core.Space { return b.NewApprox(pt, s) },
+			Seed:      13,
+		}, b.Identities(pt))
+		if err := rep.Err(); err != nil {
+			t.Errorf("%v: %v", pt, err)
+		}
 	}
 }
 
@@ -83,7 +96,7 @@ func TestCheckPassesSkewedInputs(t *testing.T) {
 		"pair":        {2, 1},
 	} {
 		rep, _ := runAndCheck(t, keys,
-			core.Config{Algorithm: sorts.LSD{Bits: 4}, T: 0.055, Seed: 21})
+			core.Config{Algorithm: sorts.LSD{Bits: 4}, NewSpace: mlcSpace(0.055), Seed: 21}, mlcIdentities())
 		if err := rep.Err(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -92,7 +105,7 @@ func TestCheckPassesSkewedInputs(t *testing.T) {
 
 func TestCheckFiresOnTamperedOutput(t *testing.T) {
 	keys := dataset.Uniform(500, 17)
-	res, err := core.Run(keys, core.Config{Algorithm: sorts.Quicksort{}, T: 0.055, Seed: 1})
+	res, err := core.Run(keys, core.Config{Algorithm: sorts.Quicksort{}, NewSpace: mlcSpace(0.055), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +114,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		bad := res
 		bad.Keys = append([]uint32(nil), res.Keys...)
 		bad.Keys[10], bad.Keys[400] = bad.Keys[400], bad.Keys[10]
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		for _, code := range []string{"output-unsorted", "oracle-diff", "sorted-flag"} {
 			if !hasCode(rep, code) {
 				t.Errorf("missing violation %q in %v", code, rep.Violations)
@@ -113,7 +126,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		bad := res
 		bad.Keys = append([]uint32(nil), res.Keys...)
 		bad.Keys[250]++ // may stay sorted, but breaks the multiset
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		if !hasCode(rep, "not-permutation") && !hasCode(rep, "oracle-diff") {
 			t.Errorf("corrupted value not caught: %v", rep.Violations)
 		}
@@ -123,7 +136,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		bad := res
 		bad.IDs = append([]uint32(nil), res.IDs...)
 		bad.IDs[3] = bad.IDs[4]
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		if !hasCode(rep, "id-not-permutation") {
 			t.Errorf("duplicate ID not caught: %v", rep.Violations)
 		}
@@ -133,7 +146,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		badReport := *res.Report
 		badReport.RemTilde++ // breaks the find/merge write identities
 		bad := core.Result{Report: &badReport, Keys: res.Keys, IDs: res.IDs}
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		if !hasCode(rep, "find-writes") || !hasCode(rep, "merge-writes") {
 			t.Errorf("Rem~ accounting drift not caught: %v", rep.Violations)
 		}
@@ -143,7 +156,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		badReport := *res.Report
 		badReport.RefineMerge.Approx.Writes = 7
 		bad := core.Result{Report: &badReport, Keys: res.Keys, IDs: res.IDs}
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		if !hasCode(rep, "refine-touches-approx") {
 			t.Errorf("approx traffic in refine not caught: %v", rep.Violations)
 		}
@@ -153,7 +166,7 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		badReport := *res.Report
 		badReport.RefineMerge.Precise.WriteEnergy *= 1.5
 		bad := core.Result{Report: &badReport, Keys: res.Keys, IDs: res.IDs}
-		rep := Check(keys, bad)
+		rep := CheckRefineRun(keys, bad, mlcIdentities())
 		if !hasCode(rep, "precise-accounting") {
 			t.Errorf("energy drift not caught: %v", rep.Violations)
 		}
@@ -177,7 +190,7 @@ func TestCheckOutput(t *testing.T) {
 func TestCheckPlan(t *testing.T) {
 	keys := dataset.Uniform(5000, 23)
 	plan, err := core.Planner{
-		Config:    core.Config{T: 0.055, Seed: 2},
+		Config:    core.Config{NewSpace: mlcSpace(0.055), Seed: 2},
 		PilotSize: 512,
 	}.Plan(keys, core.InMemory{}, []sorts.Candidate{{Alg: sorts.MSD{Bits: 6}}})
 	if err != nil {
